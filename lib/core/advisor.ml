@@ -28,14 +28,14 @@
    served start accumulating again.)
 
    Safety rules:
-   - [run] is a no-op under an MVCC snapshot: index builds scan through
-     [Relation.iter], which a snapshot diverts to the visibility-filtered
-     view — the new index would silently miss concurrently-live tuples.
-     The server schedules runs as exclusive writer jobs, where no
-     snapshot is installed and no readers are in flight.
-   - Snapshot readers never touch secondary index handles (all Relation
-     read entry points divert under a snapshot), so concurrent
-     create/drop cannot invalidate an MVCC reader.
+   - [run] is a no-op under an MVCC snapshot: an index build mutates the
+     relation's index set, which only the single writer may do.  The
+     server schedules runs as exclusive writer jobs, where no snapshot is
+     installed.
+   - Snapshot readers validate every index traversal against the
+     relation's sequence lock, which create/drop hold; a reader whose
+     index was dropped under it falls back to the view scan, and a new
+     index comes with the retained entries running snapshots need.
    - Advisor indices are in-memory only and never logged: recovery
      replay rebuilds relations without them, and the advisor simply
      re-learns from the fresh workload.  The drop pass forgets owned
@@ -275,7 +275,7 @@ let create_candidate db ~rel_name ~col_name ~(w : window) =
       | Some col ->
           if Select.candidate_indexes rel ~col <> [] then None
           else
-            let n = Relation.count rel in
+            let n = Relation.cardinality rel in
             if n < 64 then None  (* scans of tiny relations are free *)
             else if net_benefit ~n ~w ~writes:(write_delta rel_name) <= 0.0 then
               None
@@ -338,8 +338,7 @@ let drop_pass db ~windows =
   !actions
 
 let run db =
-  (* Never under a snapshot: the bulk build would scan the
-     visibility-filtered view and miss live tuples. *)
+  (* Never under a snapshot: index builds are writer work. *)
   if Version_store.current_snapshot () <> None then []
   else
     locked @@ fun () ->

@@ -11,9 +11,9 @@
     runs while their relation keeps taking writes.
 
     Runs are snapshot-guarded: under an MVCC snapshot [run] is a no-op,
-    because an index build scans the snapshot-filtered view and would
-    miss concurrently-live tuples.  The server therefore schedules runs
-    as exclusive writer jobs.  Advisor indices are never logged;
+    because an index build mutates the relation's index set and must run
+    serialized with the single writer, not on a reader.  The server
+    therefore schedules runs as exclusive writer jobs.  Advisor indices are never logged;
     recovery rebuilds relations without them and the advisor re-learns. *)
 
 type action =

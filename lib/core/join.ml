@@ -79,7 +79,7 @@ let hash_join_seq ?outer_filter ~outer ~inner () =
   let columns = [| inner.col |] in
   let table =
     Mmdb_index.Chained_hash.create ~duplicates:true
-      ~expected:(Relation.count inner.rel)
+      ~expected:(Relation.cardinality inner.rel)
       ~cmp:(Tuple.compare_keyed ~columns)
       ~hash:(Tuple.hash_on ~columns) ()
   in
@@ -107,7 +107,7 @@ let hash_join_seq_build_outer ?outer_filter ~outer ~inner () =
   let columns = [| outer.col |] in
   let table =
     Mmdb_index.Chained_hash.create ~duplicates:true
-      ~expected:(Relation.count outer.rel)
+      ~expected:(Relation.cardinality outer.rel)
       ~cmp:(Tuple.compare_keyed ~columns)
       ~hash:(Tuple.hash_on ~columns) ()
   in
@@ -189,7 +189,7 @@ let pair_flush pb out =
    {!hash_join_seq} (same table shape, same per-operation bumps). *)
 let hash_join_batched ?outer_filter ~outer ~inner () =
   let out = result_list outer inner in
-  let slots = max 16 (Relation.count inner.rel / 2) in
+  let slots = max 16 (Relation.cardinality inner.rel / 2) in
   let table = Array.make slots None in
   Relation.iter_batches ~key_col:inner.col inner.rel (fun b ->
       let n = b.Batch.n in
@@ -222,7 +222,7 @@ let hash_join_batched ?outer_filter ~outer ~inner () =
    the same per-operation counter bumps as {!hash_join_batched}. *)
 let hash_join_batched_build_outer ?outer_filter ~outer ~inner () =
   let out = result_list outer inner in
-  let slots = max 16 (Relation.count outer.rel / 2) in
+  let slots = max 16 (Relation.cardinality outer.rel / 2) in
   let table = Array.make slots None in
   Relation.iter_batches ~key_col:outer.col outer.rel (fun b ->
       for i = 0 to b.Batch.n - 1 do
@@ -460,7 +460,7 @@ let hash_join ?pool ?(build_outer = false) ?outer_filter ~outer ~inner () =
   | Some pool
     when Domain_pool.size pool > 1
          && (not (Domain_pool.in_worker ()))
-         && Relation.count outer.rel + Relation.count inner.rel
+         && Relation.cardinality outer.rel + Relation.cardinality inner.rel
             >= parallel_join_threshold ->
       (* The partitioned paths pick their build side per partition (role
          reversal in [bucket_join]); the planner's hint is moot there. *)
@@ -491,16 +491,11 @@ let tree_join ?outer_filter ~outer ~inner () =
            (Relation.name inner.rel) inner.col)
   | Some (module Inst : Relation.INSTANCE) ->
       let out = result_list outer inner in
-      let probe =
-        Tuple.probe
-          (Array.make (Schema.arity (Relation.schema inner.rel)) Value.Null)
-      in
+      let index = Inst.def.Relation.idx_name in
       Relation.iter outer.rel (fun o ->
-          if keep outer_filter o then begin
-            Tuple.set probe inner.col (key outer o);
-            Inst.I.iter_matches Inst.handle probe (fun i ->
-                Temp_list.append out [| o; i |])
-          end);
+          if keep outer_filter o then
+            Relation.iter_matches ~index inner.rel [| key outer o |] (fun i ->
+                Temp_list.append out [| o; i |]));
       out
 
 (* --- merge joins ----------------------------------------------------------- *)
@@ -684,12 +679,11 @@ let tree_merge ?outer_filter ~outer ~inner () =
     ->
       let out = result_list outer inner in
       let outer_seq =
-        match outer_filter with
-        | None -> O.I.to_seq O.handle
-        | Some f -> Seq.filter f (O.I.to_seq O.handle)
+        let s = Relation.to_seq ~index:O.def.Relation.idx_name outer.rel in
+        match outer_filter with None -> s | Some f -> Seq.filter f s
       in
       merge_sequences ~key_of1:(key outer) ~key_of2:(key inner) outer_seq
-        (I.I.to_seq I.handle)
+        (Relation.to_seq ~index:I.def.Relation.idx_name inner.rel)
         ~emit:(fun a b -> Temp_list.append out [| a; b |]);
       out
   | _ ->
@@ -717,25 +711,21 @@ let tree_inequality_join ?outer_filter ~op ~outer ~inner () =
            (Relation.name inner.rel) inner.col)
   | Some (module Inst : Relation.INSTANCE) ->
       let out = result_list outer inner in
-      let probe =
-        Tuple.probe
-          (Array.make (Schema.arity (Relation.schema inner.rel)) Value.Null)
-      in
+      let index = Inst.def.Relation.idx_name in
       let exception Stop in
       Relation.iter outer.rel (fun o ->
           if keep outer_filter o then begin
             let ko = key outer o in
-            Tuple.set probe inner.col ko;
             match op with
             | Lt | Le ->
                 (* outer < inner  ⟺  scan inner keys upward from outer *)
-                Inst.I.iter_from Inst.handle probe (fun i ->
+                Relation.lookup_from ~index inner.rel [| ko |] (fun i ->
                     if op = Le || vcmp (key inner i) ko > 0 then
                       Temp_list.append out [| o; i |])
             | Gt | Ge -> (
                 (* outer > inner  ⟺  in-order prefix of the inner index *)
                 try
-                  Inst.I.iter Inst.handle (fun i ->
+                  Relation.iter_via ~index inner.rel (fun i ->
                       let c = vcmp (key inner i) ko in
                       if c < 0 || (c = 0 && op = Ge) then
                         Temp_list.append out [| o; i |]
@@ -747,8 +737,7 @@ let tree_inequality_join ?outer_filter ~op ~outer ~inner () =
 (* --- pointer-based joins (§2.1) ------------------------------------------ *)
 
 (* The (method, outer, inner) key under which the feedback store
-   aggregates estimated-vs-actual join cardinalities.  Built from the
-   method that actually ran (after any snapshot remap in [run]). *)
+   aggregates estimated-vs-actual join cardinalities. *)
 let feedback_key_of ~method_name ~outer_name ~inner_name =
   Printf.sprintf "join/%s/%s*%s" method_name outer_name inner_name
 
@@ -832,24 +821,15 @@ let pointer_join ~outer ~ref_col ~selected =
 let run ?pool ?(build_outer = false) ?outer_filter ?est_rows method_ ~outer
     ~inner =
   Trace.with_span "join" @@ fun () ->
-  (* Under an MVCC snapshot the tree methods are out: they walk raw index
-     handles the writer mutates concurrently.  The sequential hash/merge
-     variants read tuples only through the diverted [Relation.iter] /
-     [Tuple.get], so they see the snapshot.  The batched parallel
-     variants collect (key, tuple) pairs on the coordinator — where the
-     snapshot is installed — through [Relation.iter_batches], so their
-     worker jobs never dereference a tuple and the pool is safe to keep;
-     only the scalar ablation ([MMDB_BATCH=0]) still drops it (its
-     workers would read through a snapshot-free DLS). *)
+  (* Every method reads through the snapshot-safe [Relation] access
+     paths (the tree methods through the index reads, which honour an
+     MVCC snapshot).  The batched parallel variants collect (key, tuple)
+     pairs on the coordinator — where the snapshot is installed — through
+     [Relation.iter_batches], so their worker jobs never dereference a
+     tuple and the pool is safe to keep; only the scalar ablation
+     ([MMDB_BATCH=0]) drops it under a snapshot (its workers would read
+     through a snapshot-free DLS). *)
   let snapshot = Version_store.current_snapshot () <> None in
-  let method_ =
-    if not snapshot then method_
-    else
-      match method_ with
-      | Tree_join -> Hash_join
-      | Tree_merge -> Sort_merge
-      | m -> m
-  in
   let pool = if snapshot && not (Batch.enabled ()) then None else pool in
   if Trace.active () then begin
     Trace.add_attr "method" (method_name method_);
@@ -880,8 +860,6 @@ let run ?pool ?(build_outer = false) ?outer_filter ?est_rows method_ ~outer
       Trace.add_attr "role_reversals" (string_of_int (rv1 - rv0));
     Trace.add_attr "rows" (string_of_int actual)
   end;
-  (* keyed on the method that actually ran, so a snapshot remap feeds
-     the shape the executor will run again under the same conditions *)
   (match est_rows with
   | Some est ->
       Feedback.observe ~key:(feedback_key ~method_ ~outer ~inner) ~est ~actual

@@ -93,8 +93,9 @@ val run :
     variants of {!hash_join} and {!sort_merge}; the other methods ignore
     it.  [build_outer] applies to {!hash_join} only.  [est_rows] is the optimizer's output-cardinality estimate,
     recorded as the [est_rows] trace attribute and fed with the actual
-    row count to {!Feedback.observe} under {!feedback_key} (keyed on the
-    method that actually ran, after any MVCC-snapshot remap). *)
+    row count to {!Feedback.observe} under {!feedback_key}.  Every method
+    runs under an MVCC snapshot: the tree methods read through
+    {!Relation}'s snapshot-safe index reads. *)
 
 val feedback_key : method_:method_ -> outer:side -> inner:side -> string
 (** The (method, outer, inner) key under which {!Feedback} aggregates

@@ -143,7 +143,7 @@ let use_parallel_scan pool rel =
            it takes [scan_parallel_snapshot] over the membership view
            instead, without batching it stays sequential *)
         && (Version_store.current_snapshot () = None || Batch.enabled ())
-        && Relation.count rel >= parallel_scan_threshold
+        && Relation.cardinality rel >= parallel_scan_threshold
         && (Version_store.current_snapshot () <> None
            || List.length (Relation.partitions rel) > 1)
       then Some pool

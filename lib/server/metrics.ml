@@ -336,10 +336,13 @@ let render t ~active ~readers ~domains =
        Printf.sprintf
          "mvcc:        enabled=%b commit_ts=%d snapshots=%d live=%d \
           oldest_age=%d gc_runs=%d created=%d reclaimed=%d swept=%d \
-          max_chain=%d"
+          max_chain=%d index_reads=%d retries=%d fallback_scans=%d \
+          retained=%d"
          v.st_enabled v.st_commit_ts v.st_snapshots_taken v.st_live_snapshots
          v.st_oldest_snapshot_age v.st_gc_runs v.st_versions_created
-         v.st_versions_reclaimed v.st_tuples_swept v.st_max_chain);
+         v.st_versions_reclaimed v.st_tuples_swept v.st_max_chain
+         v.st_snapshot_index_reads v.st_snapshot_retries
+         v.st_snapshot_fallback_scans v.st_retained_entries);
       (let b = Mmdb_storage.Batch.stats () in
        let reparts, reversals = Mmdb_core.Join.skew_stats () in
        Printf.sprintf
@@ -485,6 +488,11 @@ let stats_json t ~active ~readers ~domains =
                ("versions_reclaimed", Json.Int v.st_versions_reclaimed);
                ("tuples_swept", Json.Int v.st_tuples_swept);
                ("max_chain", Json.Int v.st_max_chain);
+               ("snapshot_index_reads", Json.Int v.st_snapshot_index_reads);
+               ("snapshot_retries", Json.Int v.st_snapshot_retries);
+               ( "snapshot_fallback_scans",
+                 Json.Int v.st_snapshot_fallback_scans );
+               ("retained_entries", Json.Int v.st_retained_entries);
              ] );
          ( "batch",
            let b = Mmdb_storage.Batch.stats () in
@@ -704,7 +712,19 @@ let prometheus t ~active ~readers ~domains =
    counter "mmdb_mvcc_versions_created_total" "Tuple versions created"
      v.st_versions_created;
    counter "mmdb_mvcc_versions_reclaimed_total" "Tuple versions reclaimed"
-     v.st_versions_reclaimed);
+     v.st_versions_reclaimed;
+   counter "mmdb_mvcc_snapshot_index_reads_total"
+     "Snapshot reads served by a validated index traversal"
+     v.st_snapshot_index_reads;
+   counter "mmdb_mvcc_snapshot_retries_total"
+     "Snapshot index traversals retried after failed validation"
+     v.st_snapshot_retries;
+   counter "mmdb_mvcc_snapshot_fallback_scans_total"
+     "Snapshot reads that fell back to the membership-view scan"
+     v.st_snapshot_fallback_scans;
+   gauge "mmdb_mvcc_retained_entries"
+     "Retained index entries held for live snapshots"
+     (float_of_int v.st_retained_entries));
   (let bt = Mmdb_storage.Batch.stats () in
    let reparts, reversals = Mmdb_core.Join.skew_stats () in
    gauge "mmdb_batch_enabled" "1 when batched execution is on"

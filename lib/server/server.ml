@@ -282,10 +282,14 @@ let batch_kind stmts =
 let run_on_executor t (s : session) ?(kind = Exec_queue.Write) job :
     Protocol.response =
   if kind = Exec_queue.Read then Metrics.read_job t.metrics;
-  let p = Exec_queue.submit t.exec ~notify:s.Session.wake_w ~kind job in
+  let timed = t.cfg.request_timeout > 0.0 in
+  (* only a timed wait selects on the wake pipe; an untimed one would
+     leave every completion byte in it *)
+  let notify = if timed then Some s.Session.wake_w else None in
+  let p = Exec_queue.submit t.exec ?notify ~kind job in
   s.Session.pending <- Some p;
   let result =
-    if t.cfg.request_timeout <= 0.0 then `Done (Exec_queue.wait p)
+    if not timed then `Done (Exec_queue.wait p)
     else
       Exec_queue.await p ~wakeup:s.Session.wake_r
         ~deadline:(Unix.gettimeofday () +. t.cfg.request_timeout)
@@ -634,7 +638,9 @@ let session_loop t (s : session) =
             loop ()
         | Ok req ->
             let started = Unix.gettimeofday () in
+            s.Session.busy <- true;
             let continue = try handle_request t s req with _ -> false in
+            s.Session.busy <- false;
             Metrics.request t.metrics ~kind:s.Session.last_kind
               ~latency:(Unix.gettimeofday () -. started);
             Session.touch s;
@@ -723,7 +729,7 @@ let reaper_loop t =
         Hashtbl.fold
           (fun _ s acc ->
             if
-              s.Session.pending = None
+              (not s.Session.busy)
               && Session.idle_for s ~now > t.cfg.idle_timeout
               && s.Session.kick = Session.Not_kicked
             then s :: acc

@@ -26,6 +26,7 @@ type 'a t = {
   prepared : (int, Ast.stmt * int * string) Hashtbl.t;
       (* id -> stmt, n_params, source SQL (kept for workload capture) *)
   mutable next_prepared : int;
+  mutable busy : bool;  (* a request is in hand: the reaper spares it *)
   mutable pending : 'a Exec_queue.promise option;
   mutable orphans : 'a Exec_queue.promise list;
       (* timed-out (abandoned) jobs that may still be running.  MVCC
@@ -43,6 +44,9 @@ type 'a t = {
 
 let create ~sid ~fd =
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  (* A completion poke must never block the executor: when the pipe is
+     full it is already readable, so a dropped byte wakes no one less. *)
+  Unix.set_nonblock wake_w;
   {
     sid;
     fd;
@@ -52,6 +56,7 @@ let create ~sid ~fd =
     interp = None;
     prepared = Hashtbl.create 8;
     next_prepared = 1;
+    busy = false;
     pending = None;
     orphans = [];
     kick = Not_kicked;

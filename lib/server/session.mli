@@ -1,12 +1,12 @@
 (** Per-connection session state.
 
-    Owned by the connection's handler thread; [last_activity], [pending]
+    Owned by the connection's handler thread; [last_activity], [busy]
     and [kick] are also read by the idle reaper, which only ever
     escalates to [Unix.shutdown] on the socket — the handler thread
     remains the one that tears the session down.
 
     ['a] is the executor's reply type: the handler parks its in-flight
-    promise in [pending] so CANCEL and the reaper can see it. *)
+    promise in [pending] so CANCEL can abandon it. *)
 
 open Mmdb_lang
 
@@ -26,6 +26,10 @@ type 'a t = {
   prepared : (int, Ast.stmt * int * string) Hashtbl.t;
       (** id -> stmt, n_params, source SQL (kept for workload capture) *)
   mutable next_prepared : int;
+  mutable busy : bool;
+      (** a request is being handled (its job may run inline on a
+          one-domain reader pool, before [pending] is set): the reaper
+          leaves the session alone *)
   mutable pending : 'a Exec_queue.promise option;
   mutable orphans : 'a Exec_queue.promise list;
       (** timed-out jobs that may still be running; teardown waits these
@@ -41,6 +45,9 @@ type 'a t = {
 }
 
 val create : sid:int -> fd:Unix.file_descr -> 'a t
+(** The wake pipe's write end is non-blocking: executor pokes never
+    block on a full pipe. *)
+
 val touch : 'a t -> unit
 val idle_for : 'a t -> now:float -> float
 

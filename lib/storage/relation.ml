@@ -44,11 +44,27 @@ type index_def = {
   structure : structure;
 }
 
+(* A retained entry: an index entry a snapshot may still need after the
+   live entry moved to a new key or left with its tuple.  It keeps the
+   tuple (same identity and version chain), the frozen pre-image whose
+   key it sorts under, and the run of versions [g_lo .. g_hi] that held
+   that key; the interval from [g_lo.v_begin] to [g_hi.v_end] is when
+   the key was valid.  [g_serial] keeps entries of one tuple and key
+   distinct (an A→B→A→B cycle retains A and B twice). *)
+type ghost = {
+  g_tuple : Tuple.t;
+  g_fields : Value.t array;
+  g_lo : Value.version;
+  g_hi : Value.version;
+  g_serial : int;
+}
+
 module type INSTANCE = sig
   module I : Mmdb_index.Index_intf.S
 
   val def : index_def
   val handle : Tuple.t I.t
+  val retained : ghost I.t option ref
 end
 
 type index_instance = (module INSTANCE)
@@ -61,7 +77,10 @@ type t = {
   mutable next_pid : int;
   mutable indices : index_instance list;  (** primary index first *)
   mutable count : int;
-  view : Version_store.view;  (** MVCC membership view for snapshot scans *)
+  mutable ghost_serial : int;
+  view : Version_store.view;
+      (** MVCC membership view for the fallback scan, and the sequence
+          lock snapshot readers validate index traversals against *)
 }
 
 let schema t = t.schema
@@ -76,6 +95,29 @@ let def_of (module Inst : INSTANCE) = Inst.def
 let indices t = t.indices
 let index_defs t = List.map def_of t.indices
 
+(* --- traversal budget --------------------------------------------------- *)
+
+(* A snapshot reader may traverse an index while the writer is half-way
+   through a rebalance.  The sequence lock rejects such a traversal
+   afterwards, but it must also terminate: every comparison against a
+   probe charges this domain's meter, and a reader that runs it dry
+   abandons the try.  Outside a snapshot read the meter is effectively
+   infinite. *)
+exception Torn
+
+type meter = { mutable left : int }
+
+let meter_key = Domain.DLS.new_key (fun () -> { left = max_int })
+
+let charge () =
+  let m = Domain.DLS.get meter_key in
+  m.left <- m.left - 1;
+  if m.left < 0 then raise Torn
+
+let metered ~is_probe cmp a b =
+  if is_probe a || is_probe b then charge ();
+  cmp a b
+
 let make_instance ~expected (def : index_def) : index_instance =
   Array.iter
     (fun c -> if c < 0 then invalid_arg "Relation: negative column in index")
@@ -84,10 +126,11 @@ let make_instance ~expected (def : index_def) : index_instance =
     invalid_arg "Relation: index needs at least one column";
   let (module I) = structure_module def.structure in
   let cmp =
-    if def.unique then Tuple.compare_on ~columns:def.columns
-    else Tuple.compare_keyed ~columns:def.columns
+    metered ~is_probe:Tuple.is_probe
+      (if def.unique then Tuple.compare_stored ~columns:def.columns
+       else Tuple.compare_keyed_stored ~columns:def.columns)
   in
-  let hash = Tuple.hash_on ~columns:def.columns in
+  let hash = Tuple.hash_stored ~columns:def.columns in
   let handle =
     (* With the identity tie-break every stored element is distinct, so the
        underlying structure always runs in duplicate-accepting mode except
@@ -99,7 +142,51 @@ let make_instance ~expected (def : index_def) : index_instance =
 
     let def = def
     let handle = handle
+    let retained = ref None
   end : INSTANCE)
+
+(* Retained entries live in a second instance of the index's own
+   structure, created on first use.  It is never unique (a deleted row's
+   key may be re-inserted live) and orders by key, tuple identity, then
+   serial; a probe ghost (serial -1) is a wildcard past the key. *)
+let ghost_cmp ~columns a b =
+  let rec go i =
+    if i >= Array.length columns then
+      if a.g_serial < 0 || b.g_serial < 0 then 0
+      else
+        let c = Int.compare (Tuple.id a.g_tuple) (Tuple.id b.g_tuple) in
+        if c <> 0 then c else Int.compare a.g_serial b.g_serial
+    else
+      let c = Value.compare a.g_fields.(columns.(i)) b.g_fields.(columns.(i)) in
+      if c <> 0 then c else go (i + 1)
+  in
+  go 0
+
+let ghost_probe (probe : Tuple.t) =
+  let v = { Value.v_fields = [||]; v_begin = 0; v_end = 0 } in
+  { g_tuple = probe; g_fields = probe.Value.fields; g_lo = v; g_hi = v; g_serial = -1 }
+
+let insert_ghost (module Inst : INSTANCE) g =
+  let r =
+    match !Inst.retained with
+    | Some r -> r
+    | None ->
+        let columns = Inst.def.columns in
+        let hash g =
+          Array.fold_left
+            (fun acc c -> (acc * 31) + Value.hash g.g_fields.(c))
+            17 columns
+        in
+        let r =
+          Inst.I.create ~duplicates:true
+            ~cmp:(metered ~is_probe:(fun g -> g.g_serial < 0) (ghost_cmp ~columns))
+            ~hash ()
+        in
+        Inst.retained := Some r;
+        r
+  in
+  ignore (Inst.I.insert r g);
+  Atomic.incr Version_store.retained_entries
 
 let create ?(slot_capacity = Partition.default_slot_capacity)
     ?(heap_capacity = Partition.default_heap_capacity) ?(expected = 1024)
@@ -117,6 +204,7 @@ let create ?(slot_capacity = Partition.default_slot_capacity)
     next_pid = 0;
     indices = [ make_instance ~expected primary ];
     count = 0;
+    ghost_serial = 0;
     view = Version_store.make_view ();
   }
 
@@ -203,6 +291,10 @@ let place_tuple t tuple =
 let idx_insert (module Inst : INSTANCE) tuple = Inst.I.insert Inst.handle tuple
 let idx_delete (module Inst : INSTANCE) tuple = Inst.I.delete Inst.handle tuple
 
+(* Every index mutation and every in-place write to an indexed column
+   happens inside [writing], with the sequence lock odd. *)
+let writing t f = Version_store.writing t.view f
+
 let probe_for t (def : index_def) key =
   if Array.length key <> Array.length def.columns then
     invalid_arg
@@ -213,17 +305,89 @@ let probe_for t (def : index_def) key =
   Array.iteri (fun j c -> fields.(c) <- key.(j)) def.columns;
   Tuple.probe fields
 
+(* --- retained entries ----------------------------------------------------- *)
+
+let drop_ghost (module Inst : INSTANCE) g =
+  match !Inst.retained with
+  | None -> ()
+  | Some r ->
+      if Inst.I.delete r g then Atomic.decr Version_store.retained_entries;
+      if Inst.I.size r = 0 then Inst.retained := None
+
+let add_ghost t inst tuple ~lo ~hi =
+  let g =
+    {
+      g_tuple = tuple;
+      g_fields = hi.Value.v_fields;
+      g_lo = lo;
+      g_hi = hi;
+      g_serial = t.ghost_serial;
+    }
+  in
+  t.ghost_serial <- t.ghost_serial + 1;
+  insert_ghost inst g;
+  Version_store.on_rollback t.view (fun () -> writing t (fun () -> drop_ghost inst g))
+
+(* The run of versions holding [tuple]'s current key in each index of
+   [insts] — captured before the key changes or the entries go. *)
+let key_runs insts tuple =
+  let resolved = Tuple.resolve tuple in
+  List.filter_map
+    (fun ((module Inst : INSTANCE) as inst) ->
+      Option.map
+        (fun run -> (inst, run))
+        (Version_store.key_run ~columns:Inst.def.columns resolved))
+    insts
+
+let add_ghosts t tuple runs =
+  List.iter (fun (inst, (lo, hi)) -> add_ghost t inst tuple ~lo ~hi) runs
+
+(* Epoch GC for one relation: prune the membership view, then drop the
+   retained entries whose key-validity interval ends at or below the
+   horizon — no live or future snapshot can fall inside it. *)
+let gc t ~horizon =
+  let reclaimed = Version_store.gc_view t.view ~horizon in
+  List.iter
+    (fun ((module Inst : INSTANCE) as inst) ->
+      match !Inst.retained with
+      | None -> ()
+      | Some r ->
+          let dead = ref [] in
+          Inst.I.iter r (fun g ->
+              if g.g_hi.Value.v_end <= horizon then dead := g :: !dead);
+          if !dead <> [] then
+            writing t (fun () -> List.iter (drop_ghost inst) !dead))
+    t.indices;
+  reclaimed
+
+let retained_count t =
+  List.fold_left
+    (fun n (module Inst : INSTANCE) ->
+      match !Inst.retained with None -> n | Some r -> n + Inst.I.size r)
+    0 t.indices
+
 (* --- MVCC snapshot reads ----------------------------------------------- *)
 
-(* A statement holding an MVCC snapshot must not traverse live index
-   structures: the concurrent single writer may be rebalancing them
-   mid-read.  Every read entry point therefore diverts to a
-   visibility-filtered scan of the relation's membership view, sorted by
-   the requested index's key columns — and since the comparisons go
-   through {!Tuple.get}, the sort itself reads snapshot-consistent
-   values.  This trades the index's O(log n) for O(n log n) per
-   statement; it is the price of lock-free reads, paid only under a
-   snapshot and measured honestly by bench [server]'s mvcc phase. *)
+(* A statement holding snapshot [s] reads through the live indices: it
+   traverses the live instance and the retained instance of the index,
+   keeps the entries {!Version_store.live_entry_visible} /
+   {!Version_store.run_visible} grant [s], and hands them on only if the
+   sequence lock was even and unchanged across the traversal — a
+   concurrent writer may have been rebalancing.  Comparisons read stored
+   keys, so a traversal of a stable structure is exact; a torn one may
+   raise, loop (cut by the meter and the emission cap) or miss entries,
+   and each of those is a failed try.  Ordered scans merge the two
+   streams by the key as of [s].  After [max_tries] failed tries the read
+   falls back to the visibility-filtered scan of the membership view,
+   sorted by the index key (O(n log n), counted in
+   [snapshot_fallback_scans]); the same scan is the reference the tests
+   hold the index path to. *)
+type scan = All | Matches of Tuple.t | Range of Tuple.t * Tuple.t | From of Tuple.t
+
+let max_tries = 3
+
+(* The fallback: every tuple of the view visible at [s], sorted by the
+   index key — O(n log n), against the index path's O(log n). *)
 let snapshot_tuples t s ~columns =
   let visible =
     List.filter (Version_store.visible_at s)
@@ -231,12 +395,163 @@ let snapshot_tuples t s ~columns =
   in
   List.sort (Tuple.compare_keyed ~columns) visible
 
-let snapshot_of_index t index =
-  let inst =
-    match index with None -> primary t | Some n -> find_index_exn t n
+let fallback_scan t s (def : index_def) scan =
+  let cmp = Tuple.compare_keyed ~columns:def.columns in
+  let keep =
+    match scan with
+    | All -> fun _ -> true
+    | Matches p -> fun tu -> cmp p tu = 0
+    | Range (lo, hi) -> fun tu -> cmp lo tu <= 0 && cmp tu hi <= 0
+    | From lo -> fun tu -> cmp lo tu <= 0
   in
-  let (module Inst : INSTANCE) = inst in
-  (inst, Inst.def)
+  List.filter keep (snapshot_tuples t s ~columns:def.columns)
+
+let force_fallback_key = Domain.DLS.new_key (fun () -> false)
+
+let with_scan_fallback f =
+  let was = Domain.DLS.get force_fallback_key in
+  Domain.DLS.set force_fallback_key true;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set force_fallback_key was) f
+
+(* One traversal of the live and retained instances: the entries [s]
+   sees, each list in structure order.  Raises [Torn] past its budget. *)
+let collect s (module Inst : INSTANCE) scan =
+  let columns = Inst.def.columns in
+  let retained = !Inst.retained in
+  let cap =
+    64 + (2 * Inst.I.size Inst.handle)
+    + match retained with Some r -> 2 * Inst.I.size r | None -> 0
+  in
+  let m = Domain.DLS.get meter_key in
+  m.left <- 4 * cap;
+  let emitted = ref 0 in
+  let tick () =
+    incr emitted;
+    if !emitted > cap then raise Torn
+  in
+  let live = ref [] and ghosts = ref [] in
+  let on_live tu =
+    tick ();
+    if Version_store.live_entry_visible s ~columns (Tuple.resolve tu) then
+      live := tu :: !live
+  in
+  let on_ghost g =
+    tick ();
+    if Version_store.run_visible s ~lo:g.g_lo ~hi:g.g_hi (Tuple.resolve g.g_tuple)
+    then ghosts := g :: !ghosts
+  in
+  (match scan with
+  | All -> Inst.I.iter Inst.handle on_live
+  | Matches p -> Inst.I.iter_matches Inst.handle p on_live
+  | Range (lo, hi) -> Inst.I.range Inst.handle ~lo ~hi on_live
+  | From lo -> Inst.I.iter_from Inst.handle lo on_live);
+  (match retained with
+  | None -> ()
+  | Some r -> (
+      match scan with
+      | All -> Inst.I.iter r on_ghost
+      | Matches p -> Inst.I.iter_matches r (ghost_probe p) on_ghost
+      | Range (lo, hi) ->
+          Inst.I.range r ~lo:(ghost_probe lo) ~hi:(ghost_probe hi) on_ghost
+      | From lo -> Inst.I.iter_from r (ghost_probe lo) on_ghost));
+  (List.rev !live, List.rev !ghosts)
+
+(* Merge the live and retained streams of an ordered index by key as of
+   [s] (the key each was emitted under), then tuple identity. *)
+let merge_by_key s ~columns live ghosts =
+  let cmp tu g =
+    let fields = Version_store.fields_at s (Tuple.resolve tu) in
+    let rec go i =
+      if i >= Array.length columns then
+        Int.compare (Tuple.id tu) (Tuple.id g.g_tuple)
+      else
+        let c = Value.compare fields.(columns.(i)) g.g_fields.(columns.(i)) in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
+  in
+  let rec go acc live ghosts =
+    match (live, ghosts) with
+    | [], gs -> List.rev_append acc (List.map (fun g -> g.g_tuple) gs)
+    | l, [] -> List.rev_append acc l
+    | tu :: l, g :: gs ->
+        if cmp tu g <= 0 then go (tu :: acc) l ghosts
+        else go (g.g_tuple :: acc) live gs
+  in
+  go [] live ghosts
+
+(* The sequence number to start a try from: a writer inside its section
+   is given a bounded spin to leave it (sections are a few index
+   operations long) rather than burning a try; still odd after the spin
+   counts as a failed try. *)
+let stable_seq seq =
+  let rec go spins =
+    let v = Atomic.get seq in
+    if v land 1 = 0 || spins = 0 then v
+    else begin
+      Domain.cpu_relax ();
+      go (spins - 1)
+    end
+  in
+  go 4096
+
+let snapshot_read t s ((module Inst : INSTANCE) as inst) scan =
+  let ordered = Inst.I.kind = Mmdb_index.Index_intf.Ordered in
+  (match scan with
+  | (Range _ | From _) when not ordered ->
+      raise
+        (Mmdb_index.Index_intf.Unsupported
+           (Inst.I.name ^ ": range scans need an ordered index"))
+  | _ -> ());
+  let rec attempt tries =
+    if tries >= max_tries then begin
+      Atomic.incr Version_store.snapshot_fallback_scans;
+      fallback_scan t s Inst.def scan
+    end
+    else
+      let v0 = stable_seq t.view.Version_store.seq in
+      let got =
+        (* an index dropped since the statement resolved it is no longer
+           maintained; the view scan serves its reads *)
+        if v0 land 1 = 1 || not (List.memq inst t.indices) then None
+        else
+          match collect s inst scan with
+          | c -> if Atomic.get t.view.Version_store.seq = v0 then Some c else None
+          | exception _ -> None
+      in
+      (Domain.DLS.get meter_key).left <- max_int;
+      match got with
+      | Some (live, []) ->
+          Atomic.incr Version_store.snapshot_index_reads;
+          live
+      | Some (live, ghosts) ->
+          Atomic.incr Version_store.snapshot_index_reads;
+          if ordered then merge_by_key s ~columns:Inst.def.columns live ghosts
+          else live @ List.map (fun g -> g.g_tuple) ghosts
+      | None ->
+          Atomic.incr Version_store.snapshot_retries;
+          attempt (tries + 1)
+  in
+  if Domain.DLS.get force_fallback_key then fallback_scan t s Inst.def scan
+  else attempt 0
+
+let instance t index =
+  match index with None -> primary t | Some n -> find_index_exn t n
+
+(* The one dispatch every read entry point shares: under a snapshot the
+   validated index read, otherwise the structure's own traversal. *)
+let read t ((module Inst : INSTANCE) as inst) scan f =
+  match Version_store.current_snapshot () with
+  | Some s -> List.iter f (snapshot_read t s inst scan)
+  | None -> (
+      match scan with
+      | All -> Inst.I.iter Inst.handle f
+      | Matches p -> Inst.I.iter_matches Inst.handle p f
+      | Range (lo, hi) -> Inst.I.range Inst.handle ~lo ~hi f
+      | From lo -> Inst.I.iter_from Inst.handle lo f)
+
+(* Live count in O(1): what the estimators use. *)
+let cardinality t = t.count
 
 let count t =
   match Version_store.current_snapshot () with
@@ -254,7 +569,7 @@ let maybe_sweep t =
   if
     Version_store.enabled ()
     && Version_store.view_size t.view > (2 * t.count) + 64
-  then ignore (Version_store.gc_view t.view ~horizon:(Version_store.horizon ()))
+  then ignore (gc t ~horizon:(Version_store.horizon ()))
 
 (* --- public operations ------------------------------------------------ *)
 
@@ -263,30 +578,38 @@ let insert t values =
   | Error msg -> Error msg
   | Ok () -> (
       let tuple = Tuple.make (Array.copy values) in
-      (* Enter the tuple into every index, unwinding on a uniqueness
-         violation. *)
-      let rec enter done_ = function
-        | [] -> Ok ()
-        | inst :: rest ->
-            if idx_insert inst tuple then enter (inst :: done_) rest
-            else begin
-              List.iter (fun i -> ignore (idx_delete i tuple)) done_;
-              Error
-                (Printf.sprintf "unique index %s violated"
-                   (def_of inst).idx_name)
-            end
+      (* invisible to snapshots until [on_insert] publishes it *)
+      Version_store.prepare_insert tuple;
+      let placed =
+        writing t @@ fun () ->
+        (* Enter the tuple into every index, unwinding on a uniqueness
+           violation. *)
+        let rec enter done_ = function
+          | [] -> Ok ()
+          | inst :: rest ->
+              if idx_insert inst tuple then enter (inst :: done_) rest
+              else begin
+                List.iter (fun i -> ignore (idx_delete i tuple)) done_;
+                Error
+                  (Printf.sprintf "unique index %s violated"
+                     (def_of inst).idx_name)
+              end
+        in
+        match enter [] t.indices with
+        | Error _ as e -> e
+        | Ok () -> (
+            match place_tuple t tuple with
+            | Error _ as e ->
+                List.iter (fun i -> ignore (idx_delete i tuple)) t.indices;
+                e
+            | Ok () -> Ok ())
       in
-      match enter [] t.indices with
-      | Error _ as e -> e
-      | Ok () -> (
-          match place_tuple t tuple with
-          | Error msg ->
-              List.iter (fun i -> ignore (idx_delete i tuple)) t.indices;
-              Error msg
-          | Ok () ->
-              t.count <- t.count + 1;
-              Version_store.on_insert t.view tuple;
-              Ok tuple))
+      match placed with
+      | Error msg -> Error msg
+      | Ok () ->
+          t.count <- t.count + 1;
+          Version_store.on_insert t.view tuple;
+          Ok tuple)
 
 let delete_tuple t tuple =
   let resolved = Tuple.resolve tuple in
@@ -294,7 +617,13 @@ let delete_tuple t tuple =
   else begin
     let p = partition_of_exn t resolved.Value.pid in
     if Partition.remove p resolved then begin
-      List.iter (fun inst -> ignore (idx_delete inst tuple)) t.indices;
+      let runs =
+        if Version_store.ensure_history resolved then key_runs t.indices tuple
+        else []
+      in
+      writing t (fun () ->
+          add_ghosts t tuple runs;
+          List.iter (fun inst -> ignore (idx_delete inst tuple)) t.indices);
       t.count <- t.count - 1;
       Version_store.on_delete t.view resolved;
       maybe_sweep t;
@@ -303,104 +632,45 @@ let delete_tuple t tuple =
     else false
   end
 
+let iter_matches ?index t key f =
+  let inst = instance t index in
+  read t inst (Matches (probe_for t (def_of inst) key)) f
+
 let lookup ?index t key =
-  match Version_store.current_snapshot () with
-  | Some s ->
-      let _, def = snapshot_of_index t index in
-      let probe = probe_for t def key in
-      List.filter
-        (fun tu -> Tuple.compare_keyed ~columns:def.columns probe tu = 0)
-        (snapshot_tuples t s ~columns:def.columns)
-  | None ->
-      let inst =
-        match index with None -> primary t | Some n -> find_index_exn t n
-      in
-      let (module Inst) = inst in
-      let probe = probe_for t Inst.def key in
-      let acc = ref [] in
-      Inst.I.iter_matches Inst.handle probe (fun tu -> acc := tu :: !acc);
-      List.rev !acc
+  let acc = ref [] in
+  iter_matches ?index t key (fun tu -> acc := tu :: !acc);
+  List.rev !acc
 
 let lookup_one ?index t key =
   match lookup ?index t key with [] -> None | tu :: _ -> Some tu
 
 let lookup_range ?index t ~lo ~hi f =
-  match Version_store.current_snapshot () with
-  | Some s ->
-      let _, def = snapshot_of_index t index in
-      let plo = probe_for t def lo and phi = probe_for t def hi in
-      List.iter
-        (fun tu ->
-          if
-            Tuple.compare_keyed ~columns:def.columns plo tu <= 0
-            && Tuple.compare_keyed ~columns:def.columns tu phi <= 0
-          then f tu)
-        (snapshot_tuples t s ~columns:def.columns)
-  | None ->
-      let inst =
-        match index with None -> primary t | Some n -> find_index_exn t n
-      in
-      let (module Inst) = inst in
-      Inst.I.range Inst.handle ~lo:(probe_for t Inst.def lo)
-        ~hi:(probe_for t Inst.def hi) f
+  let inst = instance t index in
+  let def = def_of inst in
+  read t inst (Range (probe_for t def lo, probe_for t def hi)) f
 
 let lookup_from ?index t key f =
-  match Version_store.current_snapshot () with
-  | Some s ->
-      let _, def = snapshot_of_index t index in
-      let probe = probe_for t def key in
-      List.iter
-        (fun tu ->
-          if Tuple.compare_keyed ~columns:def.columns probe tu <= 0 then f tu)
-        (snapshot_tuples t s ~columns:def.columns)
-  | None ->
-      let inst =
-        match index with None -> primary t | Some n -> find_index_exn t n
-      in
-      let (module Inst) = inst in
-      Inst.I.iter_from Inst.handle (probe_for t Inst.def key) f
+  let inst = instance t index in
+  read t inst (From (probe_for t (def_of inst) key)) f
 
 (* Scan through the primary index, honouring the all-access-via-index rule. *)
-let iter t f =
-  match Version_store.current_snapshot () with
-  | Some s ->
-      let (module P) = primary t in
-      List.iter f (snapshot_tuples t s ~columns:P.def.columns)
-  | None ->
-      let (module Inst) = primary t in
-      Inst.I.iter Inst.handle f
+let iter t f = read t (primary t) All f
+let iter_via ?index t f = read t (instance t index) All f
 
-let to_seq t =
+let to_seq ?index t =
+  let ((module Inst : INSTANCE) as inst) = instance t index in
   match Version_store.current_snapshot () with
-  | Some s ->
-      let (module P) = primary t in
-      List.to_seq (snapshot_tuples t s ~columns:P.def.columns)
-  | None ->
-      let (module Inst) = primary t in
-      Inst.I.to_seq Inst.handle
-
-let iter_via ?index t f =
-  match Version_store.current_snapshot () with
-  | Some s ->
-      let _, def = snapshot_of_index t index in
-      List.iter f (snapshot_tuples t s ~columns:def.columns)
-  | None ->
-      let inst =
-        match index with None -> primary t | Some n -> find_index_exn t n
-      in
-      let (module Inst) = inst in
-      Inst.I.iter Inst.handle f
+  | Some s -> List.to_seq (snapshot_read t s inst All)
+  | None -> Inst.I.to_seq Inst.handle
 
 (* Batched scan production: fill fixed-size batches of tuple pointers
    with the values of [key_col] extracted into the batch's key slice.
-   Under a snapshot the visibility filtering and version resolution
-   happen here, at batch-fill time, instead of per downstream
-   [Tuple.get] — this is what makes the vectorized kernels snapshot-safe
-   on cached keys.  Extraction is uncounted ({!Tuple.peek}): the
-   consuming kernel accounts the §3.1 logical dereferences itself, so
-   batched and tuple-at-a-time counter totals match exactly.  The
-   emission order is the same as {!iter}'s (primary-index order, or the
-   sorted visible set under a snapshot). *)
+   Under a snapshot the version resolution happens here, at batch-fill
+   time, instead of per downstream [Tuple.get] — this is what makes the
+   vectorized kernels snapshot-safe on cached keys.  Extraction is
+   uncounted ({!Tuple.peek}): the consuming kernel accounts the §3.1
+   logical dereferences itself, so batched and tuple-at-a-time counter
+   totals match exactly.  The emission order is {!iter}'s. *)
 let iter_batches ?key_col ?size t f =
   let size = match size with Some s -> max 1 s | None -> Batch.size () in
   let b = Batch.create ~size () in
@@ -432,13 +702,7 @@ let iter_batches ?key_col ?size t f =
           b.Batch.n <- n + 1;
           if n + 1 >= cap then flush ()
   in
-  (match Version_store.current_snapshot () with
-  | Some s ->
-      let (module P) = primary t in
-      List.iter push (snapshot_tuples t s ~columns:P.def.columns)
-  | None ->
-      let (module Inst) = primary t in
-      Inst.I.iter Inst.handle push);
+  iter t push;
   flush ()
 
 (* Direct partition access — recovery subsystem only. *)
@@ -456,6 +720,34 @@ let ensure_view t =
     Atomic.set t.view.Version_store.tuples !acc;
     Atomic.set t.view.Version_store.size (List.length !acc)
   end
+
+(* A new index must serve snapshots already running: derive its retained
+   entries from the version chains in the view — every run of versions
+   holding one key that a snapshot at or above the horizon can still
+   fall inside, except a live tuple's newest run holding its stored key
+   (the live entry).  A live tuple's head version never has an end
+   stamp; a deleted one's has, or its delete is pending in this scope. *)
+let derive_retained t inst ~columns =
+  let horizon = Version_store.horizon () in
+  let pending = Version_store.pending_deletes t.view in
+  List.iter
+    (fun tu ->
+      let r = Tuple.resolve tu in
+      let live =
+        match r.Value.vers.Value.vs with
+        | head :: _ ->
+            head.Value.v_end = Version_store.unstamped
+            && Version_store.same_key ~columns head.Value.v_fields r.Value.fields
+            && not (List.memq r pending)
+        | [] -> false
+      in
+      let runs = Version_store.key_runs ~columns r.Value.vers.Value.vs in
+      List.iter
+        (fun ((lo : Value.version), (hi : Value.version)) ->
+          if lo.Value.v_begin <> Version_store.unstamped && hi.Value.v_end > horizon
+          then add_ghost t inst tu ~lo ~hi)
+        (if live then List.tl runs else runs))
+    (Atomic.get t.view.Version_store.tuples)
 
 let create_index ?(structure = T_tree) ?(unique = false) t ~idx_name ~columns
     =
@@ -480,18 +772,20 @@ let create_index ?(structure = T_tree) ?(unique = false) t ~idx_name ~columns
        check stays with [idx_insert]: adjacent duplicates fail the
        insert exactly as random-order ones did. *)
     let tuples = ref [] and n = ref 0 in
-    iter t (fun tuple ->
-        tuples := tuple :: !tuples;
-        incr n);
+    (let (module P : INSTANCE) = primary t in
+     P.I.iter P.handle (fun tuple ->
+         tuples := tuple :: !tuples;
+         incr n));
     let arr = Array.make !n (Tuple.probe [||]) in
     List.iteri (fun i tuple -> arr.(!n - 1 - i) <- tuple) !tuples;
     if structure_is_ordered structure && !n > 1 then
       Mmdb_util.Qsort.sort_with
         (Mmdb_util.Qsort.choose ~n:!n ~batched:false)
-        ~cmp:(Tuple.compare_keyed ~columns) arr;
+        ~cmp:(Tuple.compare_keyed_stored ~columns) arr;
     Array.iter (fun tuple -> if !ok && not (idx_insert inst tuple) then ok := false) arr;
     if !ok then begin
-      t.indices <- t.indices @ [ inst ];
+      if Version_store.enabled () then derive_retained t inst ~columns;
+      writing t (fun () -> t.indices <- t.indices @ [ inst ]);
       Ok ()
     end
     else
@@ -504,22 +798,30 @@ let drop_index t ~idx_name =
   match t.indices with
   | (module P : INSTANCE) :: _ when String.equal P.def.idx_name idx_name ->
       Error "cannot drop the primary index"
-  | _ ->
-      if find_index t idx_name = None then
-        Error (Printf.sprintf "no index named %s" idx_name)
-      else begin
-        t.indices <-
-          List.filter
-            (fun (module Inst : INSTANCE) ->
-              not (String.equal Inst.def.idx_name idx_name))
-            t.indices;
-        Ok ()
-      end
+  | _ -> (
+      match find_index t idx_name with
+      | None -> Error (Printf.sprintf "no index named %s" idx_name)
+      | Some (module Inst : INSTANCE) ->
+          (match !Inst.retained with
+          | Some r ->
+              ignore
+                (Atomic.fetch_and_add Version_store.retained_entries
+                   (-Inst.I.size r))
+          | None -> ());
+          writing t (fun () ->
+              t.indices <-
+                List.filter
+                  (fun (module I : INSTANCE) ->
+                    not (String.equal I.def.idx_name idx_name))
+                  t.indices);
+          Ok ())
 
 (* Update one field of a tuple.  Pointer-based indices make this cheap: only
    indices covering the column need their (pointer) entries repositioned.
    If a string grows past the partition's heap budget the tuple record moves
-   to another partition, leaving a forwarding address (§2.1 footnote 1). *)
+   to another partition, leaving a forwarding address (§2.1 footnote 1).
+   When history is kept, each repositioned entry leaves a retained entry
+   under the key it held, for the snapshots that still see that key. *)
 let update_field t tuple col v =
   if col < 0 || col >= Schema.arity t.schema then
     invalid_arg "Relation.update_field: column out of range";
@@ -527,77 +829,85 @@ let update_field t tuple col v =
     Error "value does not fit column type"
   else begin
     let resolved = Tuple.resolve tuple in
-    (* Pre-image for the tuple's first versioned mutation, captured
-       before any field write. *)
-    let pre_fields = Version_store.capture_pre resolved in
+    let history = Version_store.ensure_history resolved in
     let affected =
       List.filter
         (fun (module Inst : INSTANCE) -> Array.mem col Inst.def.columns)
         t.indices
     in
-    (* Remove stale entries while the old key is still in place. *)
-    List.iter (fun inst -> ignore (idx_delete inst tuple)) affected;
-    let old_v = Tuple.get_raw resolved col in
-    let delta = Value.byte_width v - Value.byte_width old_v in
-    let heap_delta =
-      match (old_v, v) with
-      | Value.Str _, _ | _, Value.Str _ -> delta
-      | _ -> 0
-    in
-    let p = partition_of_exn t resolved.Value.pid in
-    let moved =
-      if heap_delta <> 0 && not (Partition.adjust_heap p ~delta:heap_delta)
-      then begin
-        (* Heap overflow: move the record, forwarding the old address. *)
-        ignore (Partition.remove p resolved);
-        let fields = Array.copy resolved.Value.fields in
-        fields.(col) <- v;
-        let fresh = Tuple.move_record resolved ~fields in
-        match place_tuple t fresh with
-        | Ok () -> true
-        | Error _ ->
-            (* Undo: put the old record back unchanged. *)
-            resolved.Value.forward <- None;
-            ignore (Partition.add p resolved);
-            false
+    (* rewriting a key with its own value leaves the entry's run open *)
+    let rekeyed = Value.compare (Tuple.get_raw resolved col) v <> 0 in
+    let runs = if history && rekeyed then key_runs affected tuple else [] in
+    let apply () =
+      (* Remove stale entries while the old key is still in place. *)
+      List.iter (fun inst -> ignore (idx_delete inst tuple)) affected;
+      let old_v = Tuple.get_raw resolved col in
+      let delta = Value.byte_width v - Value.byte_width old_v in
+      let heap_delta =
+        match (old_v, v) with
+        | Value.Str _, _ | _, Value.Str _ -> delta
+        | _ -> 0
+      in
+      let p = partition_of_exn t resolved.Value.pid in
+      let moved =
+        if heap_delta <> 0 && not (Partition.adjust_heap p ~delta:heap_delta)
+        then begin
+          (* Heap overflow: move the record, forwarding the old address. *)
+          ignore (Partition.remove p resolved);
+          let fields = Array.copy resolved.Value.fields in
+          fields.(col) <- v;
+          let fresh = Tuple.move_record resolved ~fields in
+          match place_tuple t fresh with
+          | Ok () -> true
+          | Error _ ->
+              (* Undo: put the old record back unchanged. *)
+              resolved.Value.forward <- None;
+              ignore (Partition.add p resolved);
+              false
+        end
+        else begin
+          Tuple.set resolved col v;
+          true
+        end
+      in
+      let rec reenter done_ = function
+        | [] -> Ok ()
+        | inst :: rest ->
+            if idx_insert inst tuple then reenter (inst :: done_) rest
+            else begin
+              List.iter (fun i -> ignore (idx_delete i tuple)) done_;
+              Error
+                (Printf.sprintf "unique index %s violated by update"
+                   (def_of inst).idx_name)
+            end
+      in
+      if not moved then begin
+        (* Field unchanged; restore index entries. *)
+        List.iter (fun inst -> ignore (idx_insert inst tuple)) affected;
+        Error "update would overflow every partition heap"
       end
-      else begin
-        Tuple.set resolved col v;
-        true
-      end
+      else
+        match reenter [] affected with
+        | Ok () ->
+            add_ghosts t tuple runs;
+            Ok ()
+        | Error msg ->
+            (* Revert the field and restore entries under the old key. *)
+            Tuple.set tuple col old_v;
+            (match (old_v, v) with
+            | Value.Str _, _ | _, Value.Str _ ->
+                let cur = Tuple.resolve tuple in
+                let p' = partition_of_exn t cur.Value.pid in
+                ignore (Partition.adjust_heap p' ~delta:(-heap_delta))
+            | _ -> ());
+            List.iter (fun inst -> ignore (idx_insert inst tuple)) affected;
+            Error msg
     in
-    let rec reenter done_ = function
-      | [] -> Ok ()
-      | inst :: rest ->
-          if idx_insert inst tuple then reenter (inst :: done_) rest
-          else begin
-            List.iter (fun i -> ignore (idx_delete i tuple)) done_;
-            Error
-              (Printf.sprintf "unique index %s violated by update"
-                 (def_of inst).idx_name)
-          end
-    in
-    if not moved then begin
-      (* Field unchanged; restore index entries. *)
-      List.iter (fun inst -> ignore (idx_insert inst tuple)) affected;
-      Error "update would overflow every partition heap"
-    end
-    else
-      match reenter [] affected with
-      | Ok () ->
-          Version_store.on_update (Tuple.resolve tuple) ~pre_fields;
-          Ok ()
-      | Error msg ->
-          (* Revert the field and restore entries under the old key. *)
-          Tuple.set tuple col old_v;
-          (match (old_v, v) with
-          | Value.Str _, _ | _, Value.Str _ ->
-              let cur = Tuple.resolve tuple in
-              let p' = partition_of_exn t cur.Value.pid in
-              ignore (Partition.adjust_heap p' ~delta:(-heap_delta))
-          | _ -> ());
-          List.iter (fun inst -> ignore (idx_insert inst tuple)) affected;
-          Error msg
+    let result = if affected = [] then apply () else writing t apply in
+    (match result with
+    | Ok () -> Version_store.on_update t.view (Tuple.resolve tuple)
+    | Error _ -> ());
+    result
   end
 
 let validate t =
@@ -614,7 +924,8 @@ let validate t =
     let stored = List.fold_left (fun acc p -> acc + Partition.count p) 0 t.partitions in
     if stored <> t.count then
       raise (Bad (Printf.sprintf "partition tuples %d <> count %d" stored t.count));
-    (* Indices: size and internal invariants. *)
+    (* Indices: size and internal invariants; retained instances are
+       checked structurally only (they hold no live entries). *)
     List.iter
       (fun (module Inst : INSTANCE) ->
         if Inst.I.size Inst.handle <> t.count then
@@ -624,10 +935,20 @@ let validate t =
                   Inst.def.idx_name
                   (Inst.I.size Inst.handle)
                   t.count));
-        match Inst.I.validate Inst.handle with
+        (match Inst.I.validate Inst.handle with
         | Ok () -> ()
         | Error msg ->
-            raise (Bad (Printf.sprintf "index %s: %s" Inst.def.idx_name msg)))
+            raise (Bad (Printf.sprintf "index %s: %s" Inst.def.idx_name msg)));
+        match !Inst.retained with
+        | None -> ()
+        | Some r -> (
+            match Inst.I.validate r with
+            | Ok () -> ()
+            | Error msg ->
+                raise
+                  (Bad
+                     (Printf.sprintf "retained entries of %s: %s"
+                        Inst.def.idx_name msg))))
       t.indices;
     (* Every stored tuple reachable through every index. *)
     iter_storage t (fun tuple ->

@@ -32,13 +32,21 @@ type index_def = {
   structure : structure;
 }
 
+type ghost
+(** A retained index entry: a tuple under a key it held before an update
+    or delete, kept while a snapshot may still read it (see {!lookup}). *)
+
 (** A live index: the structure module paired with its handle over this
-    relation's tuples. *)
+    relation's tuples, and the lazily created instance of the same
+    structure holding its retained entries.  Reading [handle] directly
+    bypasses snapshot visibility — the read functions below are the
+    snapshot-safe access paths. *)
 module type INSTANCE = sig
   module I : Mmdb_index.Index_intf.S
 
   val def : index_def
   val handle : Tuple.t I.t
+  val retained : ghost I.t option ref
 end
 
 type index_instance = (module INSTANCE)
@@ -60,8 +68,13 @@ val schema : t -> Schema.t
 val name : t -> string
 
 val count : t -> int
-(** Live tuple count; under an active MVCC snapshot, the count of tuples
-    visible to that snapshot. *)
+(** Live tuple count; under an active MVCC snapshot, the exact count of
+    tuples visible to that snapshot — an O(n) fold over the membership
+    view.  Estimators use {!cardinality}. *)
+
+val cardinality : t -> int
+(** The live tuple count in O(1), whatever snapshot is active: the size
+    the cost model and other estimators work from. *)
 
 val slot_capacity : t -> int
 val heap_capacity : t -> int
@@ -70,8 +83,24 @@ val partitions : t -> Partition.t list
 (** {1 MVCC} *)
 
 val view : t -> Version_store.view
-(** The relation's membership view: what snapshot scans consider, and
-    what {!Version_store.gc_view} prunes. *)
+(** The relation's membership view: what the fallback snapshot scan
+    considers and {!Version_store.gc_view} prunes, plus the sequence lock
+    snapshot readers validate index traversals against. *)
+
+val gc : t -> horizon:int -> int
+(** Epoch GC for this relation: prune the view's version chains to
+    [horizon] and drop the retained index entries whose key-validity
+    interval ends at or below it.  Writer-side only.  Returns the number
+    of version records reclaimed. *)
+
+val retained_count : t -> int
+(** Retained index entries currently held across this relation's
+    indices (0 for a table no snapshot has overlapped a change of). *)
+
+val with_scan_fallback : (unit -> 'a) -> 'a
+(** Run [f] with every snapshot read on this domain served by the
+    visibility-filtered view scan the index path falls back to — the
+    reference the index path is tested against. *)
 
 val ensure_view : t -> unit
 (** Rebuild the view from storage when MVCC is switched on at runtime
@@ -117,11 +146,22 @@ val update_field : t -> Tuple.t -> int -> Value.t -> (unit, string) result
     the record moves to another partition behind a forwarding address
     (§2.1 footnote 1).  Uniqueness violations roll the update back. *)
 
-(** {1 Access paths (all through indices)} *)
+(** {1 Access paths (all through indices)}
+
+    Under an MVCC snapshot every read traverses the live index and its
+    retained entries, keeping what the snapshot sees, each visible row
+    exactly once at its key as of the snapshot; a traversal torn by the
+    concurrent writer is detected by the relation's sequence lock and
+    retried, and after three failed tries the read falls back to a
+    sorted scan of the membership view.  Ordered reads emit in key order
+    (ties by tuple identity) either way. *)
 
 val lookup : ?index:string -> t -> Value.t array -> Tuple.t list
 (** All tuples whose index key equals the probe values; [index] defaults
     to the primary. *)
+
+val iter_matches : ?index:string -> t -> Value.t array -> (Tuple.t -> unit) -> unit
+(** {!lookup} without the list. *)
 
 val lookup_one : ?index:string -> t -> Value.t array -> Tuple.t option
 
@@ -138,7 +178,10 @@ val lookup_from :
 val iter : t -> (Tuple.t -> unit) -> unit
 (** Scan in primary-index order. *)
 
-val to_seq : t -> Tuple.t Seq.t
+val to_seq : ?index:string -> t -> Tuple.t Seq.t
+(** Demand-driven scan in [index] order (the primary by default).  Without
+    a snapshot it must not be consumed across mutations. *)
+
 val iter_via : ?index:string -> t -> (Tuple.t -> unit) -> unit
 
 val iter_batches :
@@ -147,9 +190,8 @@ val iter_batches :
     fixed-size batches (tuple pointers plus the extracted [key_col]
     slice) in {!iter} order and hands each to [f].  The batch is reused
     across calls — consume it before returning.  Under an MVCC snapshot,
-    visibility filtering and version resolution happen once at fill
-    time, so kernels reading the key slice are snapshot-safe without
-    further [Tuple.get]s.  Key extraction is uncounted; the consumer
+    version resolution happens once at fill time, so kernels reading the
+    key slice are snapshot-safe without further [Tuple.get]s.  Key extraction is uncounted; the consumer
     accounts the §3.1 dereferences.  [size] defaults to
     {!Batch.size}. *)
 

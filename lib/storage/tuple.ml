@@ -92,7 +92,15 @@ let pp ppf (t : t) =
    indices need no special mechanism (§2.2). *)
 let key ~columns (t : t) = Array.map (fun c -> get t c) columns
 
-let compare_on ~columns a b =
+(* Stored-field read: the live field through the pointer (counted), never
+   a snapshot's version.  Indices are ordered by what each tuple stores
+   now, so their comparisons read keys this way even inside a snapshot
+   reader's traversal. *)
+let get_stored (t : t) i =
+  Counters.bump_ptr_derefs ();
+  (resolve t).Value.fields.(i)
+
+let compare_with get ~columns a b =
   let rec go i =
     if i >= Array.length columns then 0
     else
@@ -101,10 +109,16 @@ let compare_on ~columns a b =
   in
   go 0
 
-let hash_on ~columns t =
+let compare_on ~columns a b = compare_with get ~columns a b
+let compare_stored ~columns a b = compare_with get_stored ~columns a b
+
+let hash_with get ~columns t =
   let acc = ref 17 in
   Array.iter (fun c -> acc := (!acc * 31) + Value.hash (get t c)) columns;
   !acc
+
+let hash_on ~columns t = hash_with get ~columns t
+let hash_stored ~columns t = hash_with get_stored ~columns t
 
 (* A probe is a transient tuple used only as a search key; its id of -1
    makes it a wildcard in [compare_keyed]'s identity tie-break, so a probe
@@ -120,11 +134,14 @@ let is_probe (t : t) = t.Value.id < 0
    Probes (id -1) compare equal to any tuple with the same key, which keeps
    key lookups working; they are never inserted, so the order remains total
    over stored elements. *)
-let compare_keyed ~columns a b =
-  let c = compare_on ~columns a b in
+let keyed_with get ~columns a b =
+  let c = compare_with get ~columns a b in
   if c <> 0 then c
   else if is_probe a || is_probe b then 0
   else Int.compare (id a) (id b)
+
+let compare_keyed ~columns a b = keyed_with get ~columns a b
+let compare_keyed_stored ~columns a b = keyed_with get_stored ~columns a b
 
 (* Clone a tuple's record for a partition move, preserving its identity, and
    leave a forwarding address in the old record (§2.1 footnote 1). *)

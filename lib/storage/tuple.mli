@@ -75,6 +75,16 @@ val compare_keyed : columns:int array -> t -> t -> int
     indices so each entry is distinct and deleting a tuple removes exactly
     its own entry.  Probes are wildcards in the tie-break. *)
 
+(** {2 Stored keys}
+
+    Relation indices are ordered by the key each tuple stores now, so
+    their comparisons read the live fields (counted like {!get}) and never
+    a snapshot's version — also when a snapshot reader traverses them. *)
+
+val compare_stored : columns:int array -> t -> t -> int
+val compare_keyed_stored : columns:int array -> t -> t -> int
+val hash_stored : columns:int array -> t -> int
+
 val move_record : t -> fields:Value.t array -> t
 (** [move_record t ~fields] clones [t]'s record with the new fields,
     preserving its identity, and installs a forwarding address in the old

@@ -83,6 +83,16 @@ let versions_created = Atomic.make 0
 let max_chain = Atomic.make 0
 let tuples_swept = Atomic.make 0
 
+(* Snapshot reads through the live indices ({!Relation}): reads served
+   by a validated index traversal, traversals that failed validation and
+   were retried, reads that exhausted their tries and fell back to the
+   view scan, and the retained entries currently held across every
+   index. *)
+let snapshot_index_reads = Atomic.make 0
+let snapshot_retries = Atomic.make 0
+let snapshot_fallback_scans = Atomic.make 0
+let retained_entries = Atomic.make 0
+
 (* Version-chain entries walked while resolving reads under the current
    snapshot; the server surfaces the per-statement delta as the
    [versions] trace-span attribute. *)
@@ -187,15 +197,44 @@ let with_snapshot f =
    consider, including tuples already physically deleted whose versions
    old snapshots can still see.  [size] is the (approximate) entry count
    including such dead entries — the sweep trigger compares it against
-   the relation's live count. *)
+   the relation's live count.
+
+   [seq] is the relation's sequence lock.  The single writer holds it odd
+   while it mutates an index or writes an indexed column in place;
+   snapshot readers traverse the live indices and keep what they
+   collected only if [seq] was even and unchanged across the traversal.
+   [writing] is the writer's nesting depth (writer-only state), so a
+   rollback can hold the lock across the operations it unwinds. *)
 type view = {
   tuples : Value.tuple list Atomic.t;
   size : int Atomic.t;
+  seq : int Atomic.t;
+  mutable writing : int;
 }
 
-let make_view () = { tuples = Atomic.make []; size = Atomic.make 0 }
+let make_view () =
+  { tuples = Atomic.make []; size = Atomic.make 0; seq = Atomic.make 0; writing = 0 }
 
 let view_size view = Atomic.get view.size
+
+let write_begin view =
+  if view.writing = 0 then Atomic.incr view.seq;
+  view.writing <- view.writing + 1
+
+let write_end view =
+  view.writing <- view.writing - 1;
+  if view.writing = 0 then Atomic.incr view.seq
+
+(* Run [f] with [view]'s sequence lock held odd. *)
+let writing view f =
+  write_begin view;
+  match f () with
+  | v ->
+      write_end view;
+      v
+  | exception e ->
+      write_end view;
+      raise e
 
 (* Pending intents of the current deferred write scope, newest first.
    [P_insert]/[P_update] record pushed (still unstamped) versions;
@@ -203,11 +242,20 @@ let view_size view = Atomic.get view.size
 type pending_op =
   | P_insert of { view : view; t : Value.tuple; pushed : Value.version }
   | P_update of {
+      view : view;
       t : Value.tuple;
       pushed : Value.version;
       superseded : Value.version;
     }
   | P_delete of { view : view; t : Value.tuple; head : Value.version }
+  | P_undo of { view : view; undo : unit -> unit }
+      (** storage-side bookkeeping to revert on rollback (a retained
+          index entry the scope created) *)
+
+let view_of_op = function
+  | P_insert { view; _ } | P_update { view; _ } | P_delete { view; _ }
+  | P_undo { view; _ } ->
+      view
 
 type scope = { mutable ops : pending_op list }
 
@@ -258,16 +306,55 @@ let tombstone () = { Value.v_fields = [||]; v_begin = unstamped; v_end = 0 }
 
 let live_fields (t : Value.tuple) = Array.copy t.Value.fields
 
-(* Immediate mode bumps the clock once per operation so that an already
-   registered snapshot orders strictly before the change. *)
-let immediate_ts () = 1 + Atomic.fetch_and_add commit_ts 1
+(* Publish stamps at a fresh timestamp: [stamp ts] writes every stamp of
+   the change first, and only then does the clock move to [ts], so a
+   snapshot that reads [ts] off the clock finds all of them in place.
+   The compare-and-set fails only when another writer sharing the
+   process-global clock (a second database) moved it meanwhile; the
+   stamps are then rewritten at the next timestamp. *)
+let commit_stamps stamp =
+  let rec go () =
+    let cur = Atomic.get commit_ts in
+    let ts = cur + 1 in
+    stamp ts;
+    if not (Atomic.compare_and_set commit_ts cur ts) then go ()
+  in
+  go ()
 
 let in_scope () = Domain.DLS.get scope_key <> None
 
-(* Whether version records must be materialized right now: always inside
-   a deferred scope (a concurrent snapshot may start at any moment);
-   outside one, only when a snapshot is actually live or the tuple is
-   already versioned (lazy immediate mode). *)
+(* Whether mutations must keep history right now: always inside a
+   deferred scope (a concurrent snapshot may start at any moment);
+   outside one, only while a snapshot is actually live (lazy immediate
+   mode). *)
+let history_needed () =
+  enabled ()
+  && (not (Domain.DLS.get suppress_key))
+  && (in_scope () || live_snapshots () > 0)
+
+(* Called before a new tuple enters any index: give it an unstamped —
+   invisible — version, so a snapshot reader that finds it through an
+   index before {!on_insert} publishes it cannot see it.  A failed
+   insert simply drops the tuple. *)
+let prepare_insert (t : Value.tuple) =
+  if history_needed () then
+    push_version t (fresh_version (live_fields t) ~v_begin:unstamped)
+
+(* Called before a delete or an update changes anything: make sure the
+   tuple's current state is a version on its chain (the pre-image a
+   retained index entry points at).  Returns whether history is kept. *)
+let ensure_history (t : Value.tuple) =
+  history_needed ()
+  && begin
+       ensure_base t ~pre_fields:(live_fields t);
+       true
+     end
+
+let pending_head (t : Value.tuple) =
+  match t.Value.vers.Value.vs with
+  | v :: _ when v.Value.v_begin = unstamped && v.Value.v_end = unstamped ->
+      Some v
+  | _ -> None
 
 let on_insert view (t : Value.tuple) =
   if enabled () then
@@ -275,8 +362,14 @@ let on_insert view (t : Value.tuple) =
     else
       match Domain.DLS.get scope_key with
       | Some scope ->
-          let pushed = fresh_version (live_fields t) ~v_begin:unstamped in
-          push_version t pushed;
+          let pushed =
+            match pending_head t with
+            | Some v -> v
+            | None ->
+                let v = fresh_version (live_fields t) ~v_begin:unstamped in
+                push_version t v;
+                v
+          in
           view_add view t;
           scope.ops <- P_insert { view; t; pushed } :: scope.ops
       | None ->
@@ -284,47 +377,40 @@ let on_insert view (t : Value.tuple) =
              like a version stamped at commit would be; snapshots that
              are already live cannot race single-threaded immediate
              writers (unsupported without a scope). *)
-          if live_snapshots () > 0 then
-            push_version t (fresh_version (live_fields t) ~v_begin:(immediate_ts ()));
+          (match pending_head t with
+          | Some v -> commit_stamps (fun ts -> v.Value.v_begin <- ts)
+          | None -> ());
           view_add view t
 
-(* [pre_fields] is the field array as it was before the mutation (from
-   {!capture_pre}); only needed when this is the tuple's first versioned
-   mutation. *)
-let on_update (t : Value.tuple) ~pre_fields =
+(* After an update wrote the live fields; the base version (the
+   pre-image) was pushed by {!ensure_history} before the write. *)
+let on_update view (t : Value.tuple) =
   if enabled () && not (Domain.DLS.get suppress_key) then
     match Domain.DLS.get scope_key with
     | Some scope ->
-        (match pre_fields with
-        | Some pre -> ensure_base t ~pre_fields:pre
-        | None -> ());
-        (match t.Value.vers.Value.vs with
-        | superseded :: _ ->
-            let pushed = fresh_version (live_fields t) ~v_begin:unstamped in
-            push_version t pushed;
-            scope.ops <- P_update { t; pushed; superseded } :: scope.ops
-        | [] ->
-            (* unreachable with a captured pre-image; fall back to a
-               bare current version *)
-            let pushed = fresh_version (live_fields t) ~v_begin:unstamped in
-            push_version t pushed;
-            scope.ops <-
-              P_update { t; pushed; superseded = pushed } :: scope.ops)
+        let pushed = fresh_version (live_fields t) ~v_begin:unstamped in
+        let superseded =
+          match t.Value.vers.Value.vs with s :: _ -> s | [] -> pushed
+        in
+        push_version t pushed;
+        scope.ops <- P_update { view; t; pushed; superseded } :: scope.ops
     | None ->
         if live_snapshots () > 0 then begin
-          (match pre_fields with
-          | Some pre -> ensure_base t ~pre_fields:pre
-          | None -> ());
-          let ts = immediate_ts () in
-          (match t.Value.vers.Value.vs with
-          | head :: _ -> head.Value.v_end <- ts
-          | [] -> ());
-          push_version t (fresh_version (live_fields t) ~v_begin:ts)
+          let head =
+            match t.Value.vers.Value.vs with h :: _ -> Some h | [] -> None
+          in
+          let pushed = fresh_version (live_fields t) ~v_begin:unstamped in
+          push_version t pushed;
+          commit_stamps (fun ts ->
+              (match head with Some h -> h.Value.v_end <- ts | None -> ());
+              pushed.Value.v_begin <- ts)
         end
-        else if t.Value.vers.Value.vs <> [] then
+        else if t.Value.vers.Value.vs <> [] then begin
           (* no live snapshot can need history: collapse to one version *)
-          t.Value.vers.Value.vs <-
-            [ fresh_version (live_fields t) ~v_begin:(immediate_ts ()) ]
+          let v = fresh_version (live_fields t) ~v_begin:unstamped in
+          t.Value.vers.Value.vs <- [ v ];
+          commit_stamps (fun ts -> v.Value.v_begin <- ts)
+        end
 
 let on_delete view (t : Value.tuple) =
   if enabled () then
@@ -339,55 +425,63 @@ let on_delete view (t : Value.tuple) =
       | None ->
           if live_snapshots () > 0 then begin
             ensure_base t ~pre_fields:(live_fields t);
-            let ts = immediate_ts () in
             match t.Value.vers.Value.vs with
-            | head :: _ -> head.Value.v_end <- ts
+            | head :: _ -> commit_stamps (fun ts -> head.Value.v_end <- ts)
             | [] -> ()
           end
           else
             (* lazy: tombstone now (O(1)), swept from the view by GC *)
             t.Value.vers.Value.vs <- [ tombstone () ]
 
-(* Capture the pre-image for {!on_update} — needed only for a tuple's
-   first versioned mutation, so the lock-only path (and lazy immediate
-   mode) never pays the copy. *)
-let capture_pre (t : Value.tuple) =
-  if
-    enabled ()
-    && (not (Domain.DLS.get suppress_key))
-    && t.Value.vers.Value.vs = []
-    && (in_scope () || live_snapshots () > 0)
-  then Some (live_fields t)
-  else None
+(* Tuples of [view] the current deferred scope deleted: gone from the
+   relation, though their head version still reads as current until the
+   scope publishes. *)
+let pending_deletes view =
+  match Domain.DLS.get scope_key with
+  | None -> []
+  | Some scope ->
+      List.filter_map
+        (function P_delete { view = v; t; _ } when v == view -> Some t | _ -> None)
+        scope.ops
+
+(* Register [undo] to run if the current deferred scope rolls back
+   (no-op outside a scope, where nothing rolls back). *)
+let on_rollback view undo =
+  match Domain.DLS.get scope_key with
+  | Some scope -> scope.ops <- P_undo { view; undo } :: scope.ops
+  | None -> ()
 
 (* --- deferred publication ---------------------------------------------- *)
 
-(* Stamp every pending intent with one reserved timestamp, then bump the
-   clock.  The bump is an SC atomic store: a snapshot acquired at
-   [s >= ts] reads the clock after the bump, hence after the stamps. *)
+(* Stamp every pending intent with one timestamp, then move the clock to
+   it ({!commit_stamps}): a snapshot acquired at [s >= ts] reads the
+   clock after the bump, hence after the stamps. *)
 let publish scope =
   match scope.ops with
   | [] -> ()
   | ops ->
-      let ts = 1 + Atomic.fetch_and_add commit_ts 1 in
-      List.iter
-        (fun op ->
-          match op with
-          | P_insert { pushed; _ } -> pushed.Value.v_begin <- ts
-          | P_update { pushed; superseded; _ } ->
-              (* a superseded version pushed earlier in this same scope
-                 ends up with [v_begin = v_end = ts]: an empty interval,
-                 so intermediate states of one statement never show *)
-              pushed.Value.v_begin <- ts;
-              superseded.Value.v_end <- ts
-          | P_delete { head; _ } -> head.Value.v_end <- ts)
-        ops;
+      commit_stamps (fun ts ->
+          List.iter
+            (fun op ->
+              match op with
+              | P_insert { pushed; _ } -> pushed.Value.v_begin <- ts
+              | P_update { pushed; superseded; _ } ->
+                  (* a superseded version pushed earlier in this same
+                     scope ends up with [v_begin = v_end = ts]: an empty
+                     interval, so intermediate states of one statement
+                     never show *)
+                  pushed.Value.v_begin <- ts;
+                  superseded.Value.v_end <- ts
+              | P_delete { head; _ } -> head.Value.v_end <- ts
+              | P_undo _ -> ())
+            ops);
       scope.ops <- []
 
 (* Erase every pending intent (a failed commit): pushed versions pop,
-   the view forgets uncommitted inserts, and a deleted tuple's history
-   is abandoned — the physical unwind that follows (under {!suppressed})
-   re-inserts the row as a fresh, empty-chain (visible-to-all) record. *)
+   the view forgets uncommitted inserts, a deleted tuple's history is
+   abandoned — the physical unwind that follows (under {!suppressed})
+   re-inserts the row as a fresh, empty-chain (visible-to-all) record —
+   and registered undos run. *)
 let rollback scope =
   List.iter
     (fun op ->
@@ -397,7 +491,7 @@ let rollback scope =
           (match t.Value.vers.Value.vs with
           | head :: rest when head == pushed -> t.Value.vers.Value.vs <- rest
           | _ -> ())
-      | P_update { t; pushed; superseded = _ } -> (
+      | P_update { t; pushed; _ } -> (
           (* [superseded.v_end] was never stamped (publish did not run),
              so there is nothing to restore on it *)
           pushed.Value.v_end <- 0 (* dead, in case it is not the head *);
@@ -407,7 +501,8 @@ let rollback scope =
       | P_delete { view; t; head } ->
           head.Value.v_end <- unstamped;
           view_remove view t;
-          t.Value.vers.Value.vs <- [])
+          t.Value.vers.Value.vs <- []
+      | P_undo { undo; _ } -> undo ())
     scope.ops;
   scope.ops <- []
 
@@ -425,13 +520,6 @@ let with_write f =
       f
   end
 
-(* Roll back the current scope's intents (called by [Txn] before it
-   physically unwinds a failed commit). *)
-let rollback_pending () =
-  match Domain.DLS.get scope_key with
-  | Some scope -> rollback scope
-  | None -> ()
-
 (* Run [f] with version hooks reduced to view maintenance. *)
 let suppressed f =
   let was = Domain.DLS.get suppress_key in
@@ -439,6 +527,29 @@ let suppressed f =
   Fun.protect
     ~finally:(fun () -> Domain.DLS.set suppress_key was)
     f
+
+(* Roll back the current scope's intents, then run [unwind] (the caller's
+   physical undo of the failed operations) with the hooks suppressed.
+   Every relation the scope touched holds its sequence lock odd across
+   both steps, so no snapshot reader validates a traversal of the
+   half-restored indices. *)
+let rollback_pending ~unwind =
+  match Domain.DLS.get scope_key with
+  | None -> suppressed unwind
+  | Some scope ->
+      let views =
+        List.fold_left
+          (fun acc op ->
+            let v = view_of_op op in
+            if List.memq v acc then acc else v :: acc)
+          [] scope.ops
+      in
+      List.iter write_begin views;
+      Fun.protect
+        ~finally:(fun () -> List.iter write_end views)
+        (fun () ->
+          rollback scope;
+          suppressed unwind)
 
 (* --- read-side resolution ---------------------------------------------- *)
 
@@ -488,6 +599,75 @@ let visible_at s (t : Value.tuple) =
       match version_at t s with
       | Some v -> v.Value.v_end > s
       | None -> false (* inserted after the snapshot *))
+
+(* --- index entries under a snapshot ------------------------------------ *)
+
+(* Snapshot reads traverse the live indices, whose entries are ordered by
+   the key each tuple stores now.  An entry is emitted to snapshot [s]
+   iff the tuple is visible at [s] and [s] lies in the entry's
+   key-validity interval, so each visible row appears exactly once, at
+   its key as of [s].  A live entry's interval starts at the oldest
+   version of the chain's newest run holding the stored key and never
+   ends; a retained entry ({!Relation}) covers one older run, from
+   [lo.v_begin] up to (excluding) [hi.v_end]. *)
+
+let same_key ~columns (a : Value.t array) (b : Value.t array) =
+  Array.length a = Array.length b
+  && Array.for_all (fun c -> Value.compare a.(c) b.(c) = 0) columns
+
+(* Whether snapshot [s] sees [t] through its live index entry keyed on
+   [columns]: the version visible at [s] must belong to the newest run of
+   versions holding the stored key.  A run broken before reaching [s]
+   means [t] had another key at [s] (a retained entry holds that one). *)
+let live_entry_visible s ~columns (t : Value.tuple) =
+  match t.Value.vers.Value.vs with
+  | [] -> true (* predates versioning *)
+  | vs ->
+      let walked = Domain.DLS.get versions_walked_key in
+      let fields = t.Value.fields in
+      let rec go = function
+        | [] -> false (* inserted after the snapshot *)
+        | v :: rest ->
+            incr walked;
+            if not (same_key ~columns v.Value.v_fields fields) then false
+            else if v.Value.v_begin <= s then v.Value.v_end > s
+            else go rest
+      in
+      go vs
+
+(* A chain cut into runs of consecutive versions holding one key at
+   [columns], newest run first, each as [(oldest, newest)]. *)
+let key_runs ~columns vs =
+  let rec runs = function
+    | [] -> []
+    | (hi : Value.version) :: rest ->
+        let rec extend lo = function
+          | v :: rest when same_key ~columns v.Value.v_fields hi.Value.v_fields ->
+              extend v rest
+          | rest -> (lo, rest)
+        in
+        let lo, older = extend hi rest in
+        (lo, hi) :: runs older
+  in
+  runs vs
+
+(* The run holding [t]'s stored key at [columns] — what a retained entry
+   must cover once the key changes or the tuple goes.  [None] when no
+   committed version holds the key: an empty chain, a head holding
+   another key, or a run made only of this scope's unpublished versions
+   (its interval will be empty). *)
+let key_run ~columns (t : Value.tuple) =
+  match key_runs ~columns t.Value.vers.Value.vs with
+  | ((lo, hi) as run) :: _
+    when same_key ~columns hi.Value.v_fields t.Value.fields
+         && lo.Value.v_begin <> unstamped ->
+      Some run
+  | _ -> None
+
+(* Whether a retained entry spanning versions [lo] to [hi] is the one
+   [s] sees. *)
+let run_visible s ~(lo : Value.version) ~(hi : Value.version) t =
+  lo.Value.v_begin <= s && s < hi.Value.v_end && visible_at s t
 
 (* --- garbage collection ------------------------------------------------- *)
 
@@ -566,6 +746,10 @@ type stats = {
   st_versions_reclaimed : int;
   st_tuples_swept : int;
   st_max_chain : int;
+  st_snapshot_index_reads : int;
+  st_snapshot_retries : int;
+  st_snapshot_fallback_scans : int;
+  st_retained_entries : int;
 }
 
 let stats () =
@@ -582,4 +766,8 @@ let stats () =
     st_versions_reclaimed = Atomic.get versions_reclaimed;
     st_tuples_swept = Atomic.get tuples_swept;
     st_max_chain = Atomic.get max_chain;
+    st_snapshot_index_reads = Atomic.get snapshot_index_reads;
+    st_snapshot_retries = Atomic.get snapshot_retries;
+    st_snapshot_fallback_scans = Atomic.get snapshot_fallback_scans;
+    st_retained_entries = Atomic.get retained_entries;
   }

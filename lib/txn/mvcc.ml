@@ -34,15 +34,15 @@ let now = Version_store.now
 
 (* One epoch GC pass: compute the horizon once — the oldest timestamp
    any live (or future) snapshot can hold — and prune every relation's
-   view down to it.  Must run where writes are serialized (the server
-   calls it from the dispatcher domain after write statements).
-   Returns the number of version records reclaimed. *)
+   view and retained index entries down to it.  Must run where writes
+   are serialized (the server calls it from the dispatcher domain after
+   write statements).  Returns the number of version records
+   reclaimed. *)
 let gc rels =
   if not (Version_store.enabled ()) then 0
   else begin
     let horizon = Version_store.horizon () in
     List.fold_left
-      (fun n rel ->
-        n + Version_store.gc_view (Relation.view rel) ~horizon)
+      (fun n rel -> n + Relation.gc rel ~horizon)
       0 rels
   end

@@ -251,9 +251,9 @@ let commit t =
           (* Discard the MVCC intents first — the versions pushed by the
              partial apply were never published, so popping them leaves no
              trace — then physically unwind with the hooks suppressed (the
-             unwind must maintain view membership but record no history). *)
-          Mmdb_storage.Version_store.rollback_pending ();
-          Mmdb_storage.Version_store.suppressed (fun () ->
+             unwind must maintain view membership but record no history).
+             Both steps run under the touched relations' sequence locks. *)
+          Mmdb_storage.Version_store.rollback_pending ~unwind:(fun () ->
               List.iter (undo t.mgr) applied);
           abort t;
           Error msg

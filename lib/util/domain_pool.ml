@@ -182,8 +182,27 @@ let stop t =
   Mutex.unlock t.m;
   Array.iter Domain.join t.workers
 
+(* One-time initialization that domains may race on.  [Lazy.force] is
+   not domain-safe: a second domain forcing a lazy value another domain
+   is still computing raises [CamlinternalLazy.Undefined].  Here the
+   first caller computes under the mutex and everyone else either waits
+   for it or reads the published value. *)
+let once f =
+  let m = Mutex.create () in
+  let cell = Atomic.make None in
+  fun () ->
+    match Atomic.get cell with
+    | Some v -> v
+    | None ->
+        Mutex.protect m (fun () ->
+            match Atomic.get cell with
+            | Some v -> v
+            | None ->
+                let v = f () in
+                Atomic.set cell (Some v);
+                v)
+
 (* The process-wide shared pool, sized by MMDB_DOMAINS (or the hardware
-   default).  Created lazily on first use; never stopped — its idle
-   workers block on a condition variable and cost nothing. *)
-let global_pool = lazy (create ~size:(default_size ()) ())
-let global () = Lazy.force global_pool
+   default).  Created on first use; never stopped — its idle workers
+   block on a condition variable and cost nothing. *)
+let global = once (fun () -> create ~size:(default_size ()) ())

@@ -58,5 +58,13 @@ val stop : t -> unit
 (** Drain queued tasks, then stop and join the workers. *)
 
 val global : unit -> t
-(** The process-wide shared pool (lazily created at [default_size]).
-    Used by the query operators unless an explicit pool is passed. *)
+(** The process-wide shared pool (created at [default_size] on first
+    use, by {!once}).  Used by the query operators unless an explicit
+    pool is passed. *)
+
+val once : (unit -> 'a) -> unit -> 'a
+(** [once f] is a getter that runs [f] the first time it is called and
+    returns that value ever after.  Safe when several domains make the
+    first call at once: exactly one runs [f], the others wait for its
+    result ([Lazy.force] would raise [CamlinternalLazy.Undefined]).  If
+    [f] raises, the exception propagates and the next call retries. *)

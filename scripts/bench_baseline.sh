@@ -8,7 +8,9 @@
 # and the accepted p99 must stay within 3x the uncontended p99
 # (`overload_ok`); with MVCC on, reader p99 under a background
 # bulk-update writer must stay within 2x the uncontended reader p99
-# (`mvcc_read_ok`); batched kernels must beat the tuple-at-a-time
+# (`mvcc_read_ok`), and the MVCC-on uncontended reader p99 must stay
+# within 1.5x the MVCC-off one (snapshot reads cost about what plain
+# index reads do); batched kernels must beat the tuple-at-a-time
 # ablation by >= 1.3x on scan_select and hash_join; the 50%-hot-key
 # partitioned join must land within 2x of uniform keys with at least one
 # repartition/role-reversal event; and on the adversarial drift workload
@@ -35,6 +37,7 @@ check_overload() { # file -> 0 if the overload and mvcc records pass
 import json, sys
 overload_ok = False
 mvcc_ok = False
+uncontended = {}
 for line in open(sys.argv[1]):
     rec = json.loads(line)
     if rec.get("experiment") != "server":
@@ -64,9 +67,17 @@ for line in open(sys.argv[1]):
                 rec["bulk_updates"],
             )
         )
+        uncontended[rec["mvcc"]] = rec["p99_uncontended_ms"]
         if rec["mvcc"] == 1:
             mvcc_ok = rec.get("mvcc_read_ok") == 1
-sys.exit(0 if overload_ok and mvcc_ok else 1)
+# cross-mode bound: a snapshot read must not cost much more than the
+# lock-only read it replaces
+cross_ok = False
+if 0 in uncontended and 1 in uncontended:
+    ratio = uncontended[1] / max(uncontended[0], 1e-9)
+    cross_ok = ratio <= 1.5
+    print("mvcc-read cross-mode: uncontended p99 on/off %.2f, ok=%d" % (ratio, cross_ok))
+sys.exit(0 if overload_ok and mvcc_ok and cross_ok else 1)
 PY
 }
 

@@ -345,9 +345,52 @@ let test_server_statement_cache () =
       Alcotest.(check bool) "misses recorded too" true
         (s.Metrics.s_cache_misses >= 1))
 
+(* --- one-time initialization under a race ------------------------------- *)
+
+(* Four domains make the first call to each of many fresh [once] getters
+   at the same moment (the situation of two reader domains first touching
+   [Domain_pool.global]): every getter must run its initializer exactly
+   once and hand all four the same value, with no domain raising. *)
+let test_once_race () =
+  let n = 2_000 and domains = 4 in
+  let runs = Array.init n (fun _ -> Atomic.make 0) in
+  let getters =
+    Array.init n (fun i ->
+        Domain_pool.once (fun () ->
+            Atomic.incr runs.(i);
+            (* widen the window in which a second caller finds the
+               initializer still running *)
+            for _ = 1 to 50 do Domain.cpu_relax () done;
+            ref i))
+  in
+  let ready = Atomic.make 0 in
+  let racer () =
+    Atomic.incr ready;
+    while Atomic.get ready < domains do Domain.cpu_relax () done;
+    Array.map (fun get -> get ()) getters
+  in
+  let seen = List.map Domain.join (List.init domains (fun _ -> Domain.spawn racer)) in
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check int) (Printf.sprintf "getter %d initialized once" i) 1 (Atomic.get r))
+    runs;
+  match seen with
+  | first :: rest ->
+      List.iter
+        (fun got ->
+          Array.iteri
+            (fun i v ->
+              if v != first.(i) then Alcotest.failf "getter %d: domains saw different values" i)
+            got)
+        rest;
+      Array.iteri (fun i v -> Alcotest.(check int) "initializer's value" i !v) first
+  | [] -> assert false
+
 let () =
   Alcotest.run "mmdb_parallel"
     [
+      ( "once",
+        [ Alcotest.test_case "racing first calls initialize once" `Quick test_once_race ] );
       ( "operators",
         [
           Alcotest.test_case "scan equivalence" `Quick test_scan_equivalence;

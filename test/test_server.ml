@@ -321,6 +321,36 @@ let test_exec_queue_timeout_and_abandon () =
   Exec_queue.stop q;
   List.iter Unix.close [ wake_r; wake_w ]
 
+(* A session's wake pipe holds 64 KiB.  Untimed waits never read it, so
+   the executor's completion pokes used to fill it and then block the
+   executor for good after 65,536 jobs on one session.  Run more than that
+   through one session's pipe with untimed waits, under a watchdog. *)
+let test_exec_queue_wake_pipe_full () =
+  let q = Exec_queue.create () in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let s = Session.create ~sid:1 ~fd:a in
+  let jobs = 70_000 in
+  let done_ = Atomic.make 0 in
+  let runner =
+    Thread.create
+      (fun () ->
+        for i = 1 to jobs do
+          match Exec_queue.wait (Exec_queue.submit q ~notify:s.Session.wake_w (fun () -> i)) with
+          | Ok v when v = i -> Atomic.incr done_
+          | _ -> ()
+        done)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  while Atomic.get done_ < jobs && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  Alcotest.(check int) "every job completed" jobs (Atomic.get done_);
+  Thread.join runner;
+  Exec_queue.stop q;
+  Session.close_fds s;
+  Unix.close b
+
 (* --- end-to-end over TCP ------------------------------------------------ *)
 
 let test_config =
@@ -1137,6 +1167,8 @@ let () =
       ( "exec-queue",
         [
           Alcotest.test_case "serial execution" `Quick test_exec_queue_basics;
+          Alcotest.test_case "wake pipe never blocks the executor" `Quick
+            test_exec_queue_wake_pipe_full;
           Alcotest.test_case "timeout and abandon" `Quick
             test_exec_queue_timeout_and_abandon;
         ] );
