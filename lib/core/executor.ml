@@ -1,56 +1,45 @@
 (** Plan execution: turn an {!Optimizer.plan} into a temporary list.
 
     Pipelines follow the paper's architecture: selections produce temporary
-    lists of tuple pointers; joins consume relation sides with the
-    selection's predicates pushed into the outer scan; projection narrows
-    the descriptor and (only when [DISTINCT] was requested) eliminates
-    duplicates — "it is never needed to reduce the size of the result
-    tuples, because tuples are never copied, only pointed to" (§4). *)
+    lists of tuple pointers through the planned access path; a join reads
+    its outer side through that same path (the selection's list when the
+    path is an index lookup, the relation scan with the predicates applied
+    when it is a sequential scan); projection narrows the descriptor and
+    (only when [DISTINCT] was requested) eliminates duplicates — "it is
+    never needed to reduce the size of the result tuples, because tuples
+    are never copied, only pointed to" (§4). *)
 
 open Mmdb_util
 open Mmdb_storage
 
-let predicates_of plan = List.map snd plan.Optimizer.p_paths
+(* The plan's leading access path with every predicate, the first being
+   the one that path serves. *)
+let outer_path plan =
+  match plan.Optimizer.p_paths with
+  | [] -> None
+  | (path, _) :: _ -> Some (path, List.map snd plan.Optimizer.p_paths)
 
 (* A single-relation plan: run the (indexed) selection directly; the
    optimizer's cardinality estimate rides along for the feedback loop. *)
 let run_select ?pool plan =
-  let est_rows = plan.Optimizer.p_est_sel in
-  match plan.Optimizer.p_paths with
-  | [] ->
-      Select.run ?pool ~est_rows plan.Optimizer.p_outer
-        ~path:Select.Sequential_scan ~predicates:[]
-  | (path, _) :: _ ->
-      Select.run ?pool ~est_rows plan.Optimizer.p_outer ~path
-        ~predicates:(predicates_of plan)
+  let path, predicates =
+    Option.value (outer_path plan) ~default:(Select.Sequential_scan, [])
+  in
+  Select.run ?pool ~est_rows:plan.Optimizer.p_est_sel plan.Optimizer.p_outer
+    ~path ~predicates
 
 let run_join ?pool plan (choice, outer_side, inner_side) =
-  let preds = predicates_of plan in
   let est_rows = plan.Optimizer.p_est_join in
-  let outer_filter =
-    match preds with
-    | [] -> None
-    | ps -> Some (fun tuple -> List.for_all (Select.matches tuple) ps)
-  in
+  let outer_path = outer_path plan in
   match choice with
   | Optimizer.Algorithm m ->
-      Join.run ?pool ~build_outer:plan.Optimizer.p_build_outer ?outer_filter
+      Join.run ?pool ~build_outer:plan.Optimizer.p_build_outer ?outer_path
         ?est_rows m ~outer:outer_side ~inner:inner_side
   | Optimizer.Precomputed col ->
-      let inner_schema = Relation.schema inner_side.Join.rel in
-      let joined =
-        Join.precomputed ?est_rows ~outer:plan.Optimizer.p_outer ~ref_col:col
-          ~inner_schema ()
-      in
-      (* The precomputed join scans the whole outer; apply predicates on
-         the way out when present. *)
-      (match outer_filter with
-      | None -> joined
-      | Some f ->
-          let out = Temp_list.create (Temp_list.descriptor joined) in
-          Temp_list.iter joined (fun entry ->
-              if f entry.(0) then Temp_list.append out entry);
-          out)
+      Join.precomputed ?est_rows ?outer_path ~outer:plan.Optimizer.p_outer
+        ~ref_col:col
+        ~inner_schema:(Relation.schema inner_side.Join.rel)
+        ()
 
 (* [pool] defaults to the process-wide pool, so every caller (interp,
    server, shell) gets intra-query parallelism on large inputs without

@@ -1,7 +1,11 @@
 (** Plan execution: turn an {!Optimizer.plan} into a temporary list.
 
-    Selection predicates are pushed into the outer scan of joins;
-    projection narrows the descriptor; only [DISTINCT] does real
+    A join reads its outer side through the plan's access path: after a
+    hash or tree lookup the kernel reads the selection's temporary list,
+    after a sequential scan path it scans the relation with the
+    predicates applied in its outer loop (Tree Merge, which must walk its
+    join-column index in order, always filters that walk).  Projection
+    narrows the descriptor; only [DISTINCT] does real
     duplicate-elimination work ("tuples are never copied, only pointed
     to", §4). *)
 

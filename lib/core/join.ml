@@ -52,20 +52,42 @@ let key side tuple = Tuple.get tuple side.col
 
 let vcmp = Counters.counting_cmp Value.compare
 
-(* Optional predicate pushed into the outer scan by the executor, so a
-   selection + join pipeline does not materialize the selection. *)
-let keep filter tuple = match filter with None -> true | Some f -> f tuple
+(* --- the outer input ------------------------------------------------------ *)
+
+(* Every kernel reads its outer side through one loop over one of two
+   sources: a scan of [outer.rel], or [outer_rows] — the single-source
+   temporary list an index selection already produced over it (§2.3).
+   [outer_filter], a predicate pushed into the outer loop, applies to
+   either source. *)
+let iter_outer ?outer_filter ?outer_rows outer f =
+  let f =
+    match outer_filter with
+    | None -> f
+    | Some p -> fun o -> if p o then f o
+  in
+  match outer_rows with
+  | None -> Relation.iter outer.rel f
+  | Some rows -> Temp_list.iter rows (fun e -> f e.(0))
+
+(* The same input in batches, join keys in the key slice. *)
+let outer_batches ?outer_filter ?outer_rows outer f =
+  Batch.fill ~key_col:outer.col (iter_outer ?outer_filter ?outer_rows outer) f
+
+(* How many tuples the outer loop reads: what sizes tables and decides
+   whether a kernel goes parallel. *)
+let outer_reads ?outer_rows outer =
+  match outer_rows with
+  | None -> Relation.cardinality outer.rel
+  | Some rows -> Temp_list.length rows
 
 (* --- nested loops ------------------------------------------------------ *)
 
-let nested_loops ?outer_filter ~outer ~inner () =
+let nested_loops ?outer_filter ?outer_rows ~outer ~inner () =
   let out = result_list outer inner in
-  Relation.iter outer.rel (fun o ->
-      if keep outer_filter o then begin
-        let ko = key outer o in
-        Relation.iter inner.rel (fun i ->
-            if vcmp ko (key inner i) = 0 then Temp_list.append out [| o; i |])
-      end);
+  iter_outer ?outer_filter ?outer_rows outer (fun o ->
+      let ko = key outer o in
+      Relation.iter inner.rel (fun i ->
+          if vcmp ko (key inner i) = 0 then Temp_list.append out [| o; i |]));
   out
 
 (* --- hash join ---------------------------------------------------------- *)
@@ -74,7 +96,7 @@ let nested_loops ?outer_filter ~outer ~inner () =
    always charges this build cost, "because we feel that a hash table index
    is less likely to exist than a T Tree index" (§3.3.2).  Table size is
    half the inner cardinality, as in the paper's projection experiments. *)
-let hash_join_seq ?outer_filter ~outer ~inner () =
+let hash_join_seq ?outer_filter ?outer_rows ~outer ~inner () =
   let out = result_list outer inner in
   let columns = [| inner.col |] in
   let table =
@@ -89,31 +111,27 @@ let hash_join_seq ?outer_filter ~outer ~inner () =
   let probe =
     Tuple.probe (Array.make (Schema.arity (Relation.schema inner.rel)) Value.Null)
   in
-  Relation.iter outer.rel (fun o ->
-      if keep outer_filter o then begin
-        Tuple.set probe inner.col (key outer o);
-        Mmdb_index.Chained_hash.iter_matches table probe (fun i ->
-            Temp_list.append out [| o; i |])
-      end);
+  iter_outer ?outer_filter ?outer_rows outer (fun o ->
+      Tuple.set probe inner.col (key outer o);
+      Mmdb_index.Chained_hash.iter_matches table probe (fun i ->
+          Temp_list.append out [| o; i |]));
   out
 
 (* Build-on-outer variant, chosen by the cost-based planner when the
    selection leaves the outer side smaller than the inner: the table is
-   built over the outer tuples surviving [outer_filter] (the filter
-   moves to build time, so the table only holds qualifying tuples) and
+   built over the outer input (so it only holds qualifying tuples) and
    the inner side probes.  Emission stays (outer, inner). *)
-let hash_join_seq_build_outer ?outer_filter ~outer ~inner () =
+let hash_join_seq_build_outer ?outer_filter ?outer_rows ~outer ~inner () =
   let out = result_list outer inner in
   let columns = [| outer.col |] in
   let table =
     Mmdb_index.Chained_hash.create ~duplicates:true
-      ~expected:(Relation.cardinality outer.rel)
+      ~expected:(outer_reads ?outer_rows outer)
       ~cmp:(Tuple.compare_keyed ~columns)
       ~hash:(Tuple.hash_on ~columns) ()
   in
-  Relation.iter outer.rel (fun o ->
-      if keep outer_filter o then
-        ignore (Mmdb_index.Chained_hash.insert table o));
+  iter_outer ?outer_filter ?outer_rows outer (fun o ->
+      ignore (Mmdb_index.Chained_hash.insert table o));
   let probe =
     Tuple.probe (Array.make (Schema.arity (Relation.schema outer.rel)) Value.Null)
   in
@@ -187,7 +205,7 @@ let pair_flush pb out =
    keys, the build charges its per-tuple costs once per batch, and probes
    walk value-carrying chains.  Identical counter totals to
    {!hash_join_seq} (same table shape, same per-operation bumps). *)
-let hash_join_batched ?outer_filter ~outer ~inner () =
+let hash_join_batched ?outer_filter ?outer_rows ~outer ~inner () =
   let out = result_list outer inner in
   let slots = max 16 (Relation.cardinality inner.rel / 2) in
   let table = Array.make slots None in
@@ -205,37 +223,33 @@ let hash_join_batched ?outer_filter ~outer ~inner () =
         table.(s) <- Some { hkey = k; htup = b.Batch.tuples.(i); hnext = table.(s) }
       done);
   let pb = pair_buf () in
-  Relation.iter_batches ~key_col:outer.col outer.rel (fun b ->
+  outer_batches ?outer_filter ?outer_rows outer (fun b ->
+      (* scalar probe extracts the outer key: one dereference each *)
+      Counters.bump_ptr_derefs ~n:b.Batch.n ();
       for i = 0 to b.Batch.n - 1 do
         let o = b.Batch.tuples.(i) in
-        if keep outer_filter o then begin
-          (* scalar probe extracts the outer key: one dereference *)
-          Counters.bump_ptr_derefs ();
-          probe_chain table ~slots b.Batch.keys.(i) ~emit:(fun it ->
-              pair_push pb o it)
-        end
+        probe_chain table ~slots b.Batch.keys.(i) ~emit:(fun it ->
+            pair_push pb o it)
       done;
       pair_flush pb out);
   out
 
 (* Batched build-on-outer: mirror of {!hash_join_seq_build_outer} with
    the same per-operation counter bumps as {!hash_join_batched}. *)
-let hash_join_batched_build_outer ?outer_filter ~outer ~inner () =
+let hash_join_batched_build_outer ?outer_filter ?outer_rows ~outer ~inner () =
   let out = result_list outer inner in
-  let slots = max 16 (Relation.cardinality outer.rel / 2) in
+  let slots = max 16 (outer_reads ?outer_rows outer / 2) in
   let table = Array.make slots None in
-  Relation.iter_batches ~key_col:outer.col outer.rel (fun b ->
-      for i = 0 to b.Batch.n - 1 do
-        let o = b.Batch.tuples.(i) in
-        if keep outer_filter o then begin
-          Counters.bump_hash_calls ();
-          Counters.bump_ptr_derefs ();
-          Counters.bump_node_allocs ();
-          Counters.bump_data_moves ();
-          let k = b.Batch.keys.(i) in
-          let s = hslot ~slots k in
-          table.(s) <- Some { hkey = k; htup = o; hnext = table.(s) }
-        end
+  outer_batches ?outer_filter ?outer_rows outer (fun b ->
+      let n = b.Batch.n in
+      Counters.bump_hash_calls ~n ();
+      Counters.bump_ptr_derefs ~n ();
+      Counters.bump_node_allocs ~n ();
+      Counters.bump_data_moves ~n ();
+      for i = 0 to n - 1 do
+        let k = b.Batch.keys.(i) in
+        let s = hslot ~slots k in
+        table.(s) <- Some { hkey = k; htup = b.Batch.tuples.(i); hnext = table.(s) }
       done);
   let pb = pair_buf () in
   Relation.iter_batches ~key_col:inner.col inner.rel (fun b ->
@@ -262,7 +276,7 @@ let parallel_join_threshold = 2048
    per-bucket builds and probes count hash calls and comparisons exactly
    as the sequential join does, modulo chain-length effects of the smaller
    per-bucket tables. *)
-let hash_join_par pool ?outer_filter ~outer ~inner () =
+let hash_join_par pool ?outer_filter ?outer_rows ~outer ~inner () =
   let p = Domain_pool.size pool in
   let route v = Value.hash v land max_int mod p in
   let inner_buckets = Array.make p [] in
@@ -272,12 +286,10 @@ let hash_join_par pool ?outer_filter ~outer ~inner () =
   (* Outer keys are extracted once here (as in the sequential probe loop)
      and carried into the bucket to avoid a second dereference. *)
   let outer_buckets = Array.make p [] in
-  Relation.iter outer.rel (fun o ->
-      if keep outer_filter o then begin
-        let ko = key outer o in
-        let b = route ko in
-        outer_buckets.(b) <- (ko, o) :: outer_buckets.(b)
-      end);
+  iter_outer ?outer_filter ?outer_rows outer (fun o ->
+      let ko = key outer o in
+      let b = route ko in
+      outer_buckets.(b) <- (ko, o) :: outer_buckets.(b));
   let desc =
     Descriptor.join
       (Descriptor.of_schema (Relation.schema outer.rel))
@@ -389,10 +401,12 @@ let rec bucket_join ~emit ~bound ~depth inners outers =
         let b = route k in
         so.(b) <- pr :: so.(b))
       outers;
+    (* the pairs are young: [Array.of_list] would force a minor
+       collection *)
     for b = 0 to sub - 1 do
       bucket_join ~emit ~bound ~depth:(depth + 1)
-        (Array.of_list (List.rev si.(b)))
-        (Array.of_list (List.rev so.(b)))
+        (Arrays.of_rev_list si.(b))
+        (Arrays.of_rev_list so.(b))
     done
   end
   else if no < ni then begin
@@ -409,7 +423,7 @@ let rec bucket_join ~emit ~bound ~depth inners outers =
    [bucket_join].  With uniform keys the counters match the scalar
    partitioned join exactly; when a skew trigger fires they diverge
    (role reversal builds the other side), which is the point. *)
-let hash_join_par_batched pool ?outer_filter ~outer ~inner () =
+let hash_join_par_batched pool ?outer_filter ?outer_rows ~outer ~inner () =
   let p = Domain_pool.size pool in
   let route v = Value.hash v land max_int mod p in
   let inner_parts = Array.make p [] in
@@ -424,15 +438,12 @@ let hash_join_par_batched pool ?outer_filter ~outer ~inner () =
         inner_parts.(bkt) <- (k, b.Batch.tuples.(i)) :: inner_parts.(bkt)
       done);
   let outer_parts = Array.make p [] in
-  Relation.iter_batches ~key_col:outer.col outer.rel (fun b ->
+  outer_batches ?outer_filter ?outer_rows outer (fun b ->
+      Counters.bump_ptr_derefs ~n:b.Batch.n ();
       for i = 0 to b.Batch.n - 1 do
-        let o = b.Batch.tuples.(i) in
-        if keep outer_filter o then begin
-          Counters.bump_ptr_derefs ();
-          let k = b.Batch.keys.(i) in
-          let bkt = route k in
-          outer_parts.(bkt) <- (k, o) :: outer_parts.(bkt)
-        end
+        let k = b.Batch.keys.(i) in
+        let bkt = route k in
+        outer_parts.(bkt) <- (k, b.Batch.tuples.(i)) :: outer_parts.(bkt)
       done);
   let desc =
     Descriptor.join
@@ -444,8 +455,8 @@ let hash_join_par_batched pool ?outer_filter ~outer ~inner () =
     Domain_pool.parallel_map pool
       (fun bkt ->
         let local = Temp_list.create desc in
-        let inners = Array.of_list (List.rev inner_parts.(bkt)) in
-        let outers = Array.of_list (List.rev outer_parts.(bkt)) in
+        let inners = Arrays.of_rev_list inner_parts.(bkt) in
+        let outers = Arrays.of_rev_list outer_parts.(bkt) in
         let pb = pair_buf () in
         bucket_join ~emit:(fun o i -> pair_push pb o i) ~bound ~depth:0
           inners outers;
@@ -455,26 +466,28 @@ let hash_join_par_batched pool ?outer_filter ~outer ~inner () =
   in
   Temp_list.concat desc (Array.to_list locals)
 
-let hash_join ?pool ?(build_outer = false) ?outer_filter ~outer ~inner () =
+let hash_join ?pool ?(build_outer = false) ?outer_filter ?outer_rows ~outer
+    ~inner () =
   match pool with
   | Some pool
     when Domain_pool.size pool > 1
          && (not (Domain_pool.in_worker ()))
-         && Relation.cardinality outer.rel + Relation.cardinality inner.rel
+         && outer_reads ?outer_rows outer + Relation.cardinality inner.rel
             >= parallel_join_threshold ->
       (* The partitioned paths pick their build side per partition (role
          reversal in [bucket_join]); the planner's hint is moot there. *)
       if Batch.enabled () then
-        hash_join_par_batched pool ?outer_filter ~outer ~inner ()
-      else hash_join_par pool ?outer_filter ~outer ~inner ()
+        hash_join_par_batched pool ?outer_filter ?outer_rows ~outer ~inner ()
+      else hash_join_par pool ?outer_filter ?outer_rows ~outer ~inner ()
   | _ ->
-      if build_outer then
-        if Batch.enabled () then
-          hash_join_batched_build_outer ?outer_filter ~outer ~inner ()
-        else hash_join_seq_build_outer ?outer_filter ~outer ~inner ()
-      else if Batch.enabled () then
-        hash_join_batched ?outer_filter ~outer ~inner ()
-      else hash_join_seq ?outer_filter ~outer ~inner ()
+      let kernel =
+        match (build_outer, Batch.enabled ()) with
+        | true, true -> hash_join_batched_build_outer
+        | true, false -> hash_join_seq_build_outer
+        | false, true -> hash_join_batched
+        | false, false -> hash_join_seq
+      in
+      kernel ?outer_filter ?outer_rows ~outer ~inner ()
 
 (* --- tree join ----------------------------------------------------------- *)
 
@@ -483,7 +496,7 @@ let hash_join ?pool ?(build_outer = false) ?outer_filter ~outer ~inner () =
 let find_tree_index side =
   Relation.find_index_on ~ordered:true side.rel ~columns:[| side.col |]
 
-let tree_join ?outer_filter ~outer ~inner () =
+let tree_join ?outer_filter ?outer_rows ~outer ~inner () =
   match find_tree_index inner with
   | None ->
       invalid_arg
@@ -492,10 +505,9 @@ let tree_join ?outer_filter ~outer ~inner () =
   | Some (module Inst : Relation.INSTANCE) ->
       let out = result_list outer inner in
       let index = Inst.def.Relation.idx_name in
-      Relation.iter outer.rel (fun o ->
-          if keep outer_filter o then
-            Relation.iter_matches ~index inner.rel [| key outer o |] (fun i ->
-                Temp_list.append out [| o; i |]));
+      iter_outer ?outer_filter ?outer_rows outer (fun o ->
+          Relation.iter_matches ~index inner.rel [| key outer o |] (fun i ->
+              Temp_list.append out [| o; i |]));
       out
 
 (* --- merge joins ----------------------------------------------------------- *)
@@ -586,23 +598,21 @@ let merge_arrays ~key1 ~key2 arr1 arr2 ~emit =
    dereferences [Tuple.compare_on] would pay, the merge key extractors
    one each, and [Qsort]'s counted primitives add the comparisons and
    moves, so with the same kernel the §3.1 totals are identical. *)
-let sort_merge_batched ?pool ~cutoff ?outer_filter ~outer ~inner () =
+let sort_merge_batched ?pool ~cutoff ?outer_filter ?outer_rows ~outer ~inner
+    () =
   let out = result_list outer inner in
-  let collect ?filter side =
-    let acc = ref [] and n = ref 0 in
-    Relation.iter_batches ~key_col:side.col side.rel (fun b ->
+  let collect batches =
+    let acc = ref [] in
+    batches (fun b ->
         for i = 0 to b.Batch.n - 1 do
-          let t = b.Batch.tuples.(i) in
-          if keep filter t then begin
-            acc := (b.Batch.keys.(i), t) :: !acc;
-            incr n
-          end
+          acc := (b.Batch.keys.(i), b.Batch.tuples.(i)) :: !acc
         done);
-    let arr = Array.make !n (Value.Null, Tuple.probe [||]) in
-    List.iteri (fun i p -> arr.(!n - 1 - i) <- p) !acc;
-    arr
+    (* the pairs are young: [Array.of_list] would force a minor
+       collection *)
+    Arrays.of_rev_list !acc
   in
-  let arr1 = collect ?filter:outer_filter outer and arr2 = collect inner in
+  let arr1 = collect (outer_batches ?outer_filter ?outer_rows outer) in
+  let arr2 = collect (Relation.iter_batches ~key_col:inner.col inner.rel) in
   let kern =
     Qsort.choose
       ~n:(max (Array.length arr1) (Array.length arr2))
@@ -631,23 +641,19 @@ let sort_merge_batched ?pool ~cutoff ?outer_filter ~outer ~inner () =
    charged.  With a pool, each quicksort is itself parallel
    ([Qsort.sort_parallel] — slice quicksorts plus parallel merge rounds);
    the final merge join stays sequential (it emits into one list). *)
-let sort_merge ?pool ?(cutoff = 10) ?outer_filter ~outer ~inner () =
+let sort_merge ?pool ?(cutoff = 10) ?outer_filter ?outer_rows ~outer ~inner ()
+    =
   if Batch.enabled () then
-    sort_merge_batched ?pool ~cutoff ?outer_filter ~outer ~inner ()
+    sort_merge_batched ?pool ~cutoff ?outer_filter ?outer_rows ~outer ~inner ()
   else begin
     let out = result_list outer inner in
-    let collect ?filter side =
-      let acc = ref [] and n = ref 0 in
-      Relation.iter side.rel (fun t ->
-          if keep filter t then begin
-            acc := t :: !acc;
-            incr n
-          end);
-      let arr = Array.make !n (Tuple.probe [||]) in
-      List.iteri (fun i t -> arr.(!n - 1 - i) <- t) !acc;
-      arr
+    let collect iter =
+      let acc = ref [] in
+      iter (fun t -> acc := t :: !acc);
+      Arrays.of_rev_list !acc
     in
-    let arr1 = collect ?filter:outer_filter outer and arr2 = collect inner in
+    let arr1 = collect (iter_outer ?outer_filter ?outer_rows outer) in
+    let arr2 = collect (Relation.iter inner.rel) in
     let kern =
       Qsort.choose
         ~n:(max (Array.length arr1) (Array.length arr2))
@@ -702,7 +708,7 @@ let inequality_name = function Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">="
    index is scanned upward from the outer key with the pruned [iter_from];
    for >/>= the in-order prefix of the index up to the outer key is
    scanned and the walk stops at the first non-qualifying element. *)
-let tree_inequality_join ?outer_filter ~op ~outer ~inner () =
+let tree_inequality_join ?outer_filter ?outer_rows ~op ~outer ~inner () =
   match find_tree_index inner with
   | None ->
       invalid_arg
@@ -713,8 +719,7 @@ let tree_inequality_join ?outer_filter ~op ~outer ~inner () =
       let out = result_list outer inner in
       let index = Inst.def.Relation.idx_name in
       let exception Stop in
-      Relation.iter outer.rel (fun o ->
-          if keep outer_filter o then begin
+      iter_outer ?outer_filter ?outer_rows outer (fun o ->
             let ko = key outer o in
             match op with
             | Lt | Le ->
@@ -730,8 +735,7 @@ let tree_inequality_join ?outer_filter ~op ~outer ~inner () =
                       if c < 0 || (c = 0 && op = Ge) then
                         Temp_list.append out [| o; i |]
                       else raise Stop)
-                with Stop -> ())
-          end);
+                with Stop -> ()));
       out
 
 (* --- pointer-based joins (§2.1) ------------------------------------------ *)
@@ -746,9 +750,31 @@ let feedback_key ~method_ ~outer ~inner =
     ~outer_name:(Relation.name outer.rel)
     ~inner_name:(Relation.name inner.rel)
 
+(* The outer side of a planned join: [outer_path] is the plan's leading
+   access path with the selection's predicates.  An index path runs here,
+   inside the join's span, and the kernel reads the temporary list it
+   returns; a scan path — or a kernel that must walk the outer relation in
+   join-key order ([ordered]: Tree Merge) — folds the predicates into the
+   outer loop's filter instead. *)
+let outer_input ?(ordered = false) ?outer_filter ?outer_path rel =
+  match outer_path with
+  | None -> (outer_filter, None)
+  | Some (((Select.Hash_lookup _ | Select.Tree_lookup _) as path), predicates)
+    when not ordered ->
+      (outer_filter, Some (Select.run rel ~path ~predicates))
+  | Some (_, predicates) ->
+      let matches o = List.for_all (Select.matches o) predicates in
+      let filter =
+        match outer_filter with
+        | None -> matches
+        | Some f -> fun o -> f o && matches o
+      in
+      (Some filter, None)
+
 (* Query 1 style: the outer relation's foreign-key column already holds
-   tuple pointers, so the "join" just follows them. *)
-let precomputed ?est_rows ~outer ~ref_col ~inner_schema () =
+   tuple pointers, so the "join" just follows them — from the selected
+   outer tuples only. *)
+let precomputed ?est_rows ?outer_path ~outer ~ref_col ~inner_schema () =
   Trace.with_span "join" @@ fun () ->
   if Trace.active () then begin
     Trace.add_attr "method" "Precomputed";
@@ -763,7 +789,8 @@ let precomputed ?est_rows ~outer ~ref_col ~inner_schema () =
          (Descriptor.of_schema (Relation.schema outer))
          (Descriptor.of_schema inner_schema))
   in
-  Relation.iter outer (fun o ->
+  let outer_filter, outer_rows = outer_input ?outer_path outer in
+  iter_outer ?outer_filter ?outer_rows { rel = outer; col = ref_col } (fun o ->
       match Tuple.get o ref_col with
       | Value.Ref i -> Temp_list.append out [| o; i |]
       | Value.Refs is -> List.iter (fun i -> Temp_list.append out [| o; i |]) is
@@ -818,8 +845,8 @@ let pointer_join ~outer ~ref_col ~selected =
 
 (* --- uniform driver -------------------------------------------------------- *)
 
-let run ?pool ?(build_outer = false) ?outer_filter ?est_rows method_ ~outer
-    ~inner =
+let run ?pool ?(build_outer = false) ?outer_filter ?outer_path ?est_rows method_
+    ~outer ~inner =
   Trace.with_span "join" @@ fun () ->
   (* Every method reads through the snapshot-safe [Relation] access
      paths (the tree methods through the index reads, which honour an
@@ -844,12 +871,17 @@ let run ?pool ?(build_outer = false) ?outer_filter ?est_rows method_ ~outer
   let rp0, rv0 = skew_stats () in
   if Trace.active () && build_outer && method_ = Hash_join then
     Trace.add_attr "build" "outer";
+  let outer_filter, outer_rows =
+    outer_input ~ordered:(method_ = Tree_merge) ?outer_filter ?outer_path
+      outer.rel
+  in
   let out =
     match method_ with
-    | Nested_loops -> nested_loops ?outer_filter ~outer ~inner ()
-    | Hash_join -> hash_join ?pool ~build_outer ?outer_filter ~outer ~inner ()
-    | Tree_join -> tree_join ?outer_filter ~outer ~inner ()
-    | Sort_merge -> sort_merge ?pool ?outer_filter ~outer ~inner ()
+    | Nested_loops -> nested_loops ?outer_filter ?outer_rows ~outer ~inner ()
+    | Hash_join ->
+        hash_join ?pool ~build_outer ?outer_filter ?outer_rows ~outer ~inner ()
+    | Tree_join -> tree_join ?outer_filter ?outer_rows ~outer ~inner ()
+    | Sort_merge -> sort_merge ?pool ?outer_filter ?outer_rows ~outer ~inner ()
     | Tree_merge -> tree_merge ?outer_filter ~outer ~inner ()
   in
   let actual = Temp_list.length out in

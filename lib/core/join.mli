@@ -3,7 +3,15 @@
 
     Every algorithm yields a temporary list of
     [(outer tuple ptr, inner tuple ptr)] entries under a joined descriptor
-    — no data is copied.  Equijoins only, as in the paper. *)
+    — no data is copied.  Equijoins only, as in the paper.
+
+    {b The outer input.}  A kernel reads its outer side in one loop over
+    one of two sources: a scan of the outer relation, or [outer_rows] — a
+    single-source temporary list over the outer relation that a selection
+    already produced (§2.3).  [outer_filter] is a predicate applied to
+    each tuple the outer loop reads, from either source; it does not make
+    the loop read fewer tuples.  {!run} chooses the source from the plan's
+    access path. *)
 
 open Mmdb_storage
 
@@ -21,13 +29,19 @@ val method_name : method_ -> string
 val all_methods : method_ list
 
 val nested_loops :
-  ?outer_filter:(Tuple.t -> bool) -> outer:side -> inner:side -> unit -> Temp_list.t
+  ?outer_filter:(Tuple.t -> bool) ->
+  ?outer_rows:Temp_list.t ->
+  outer:side ->
+  inner:side ->
+  unit ->
+  Temp_list.t
 (** The O(N²) baseline with no index (Graph 10). *)
 
 val hash_join :
   ?pool:Mmdb_util.Domain_pool.t ->
   ?build_outer:bool ->
   ?outer_filter:(Tuple.t -> bool) ->
+  ?outer_rows:Temp_list.t ->
   outer:side ->
   inner:side ->
   unit ->
@@ -38,23 +52,28 @@ val hash_join :
 
     [build_outer] (default false) builds the table on the outer side
     instead and probes with the inner — chosen by the cost-based planner
-    when the selection leaves the outer smaller than the inner; the
-    [outer_filter] then applies at build time, so the table holds only
-    qualifying tuples.  The partitioned parallel paths ignore the hint:
-    they already pick a build side per partition (role reversal).
+    when the selection leaves the outer smaller than the inner; the table
+    then holds only the outer input's qualifying tuples.  The partitioned
+    parallel paths ignore the hint: they already pick a build side per
+    partition (role reversal).
 
-    With a parallel [pool] and a large enough input (combined cardinality
-    >= 2048), the join runs partitioned: both sides are routed by hash of
-    the join key into per-worker buckets, and each bucket is an
-    independent build+probe producing a local list, concatenated at the
-    end — the same result multiset as the sequential join, with counters
+    With a parallel [pool] and a large enough input (outer rows read plus
+    inner cardinality >= 2048), the join runs partitioned: both sides are
+    routed by hash of the join key into per-worker buckets, and each
+    bucket is an independent build+probe producing a local list,
+    concatenated at the end — the same result multiset as the sequential join, with counters
     within chain-length bookkeeping tolerance of it. *)
 
 val find_tree_index : side -> Relation.index_instance option
 (** The pre-existing ordered index on a side's join column, if any. *)
 
 val tree_join :
-  ?outer_filter:(Tuple.t -> bool) -> outer:side -> inner:side -> unit -> Temp_list.t
+  ?outer_filter:(Tuple.t -> bool) ->
+  ?outer_rows:Temp_list.t ->
+  outer:side ->
+  inner:side ->
+  unit ->
+  Temp_list.t
 (** Nested loops through a {e pre-existing} ordered index on the inner
     join column (building one just for the join never pays off, §3.3.2).
     @raise Invalid_argument when no such index exists. *)
@@ -63,6 +82,7 @@ val sort_merge :
   ?pool:Mmdb_util.Domain_pool.t ->
   ?cutoff:int ->
   ?outer_filter:(Tuple.t -> bool) ->
+  ?outer_rows:Temp_list.t ->
   outer:side ->
   inner:side ->
   unit ->
@@ -78,19 +98,28 @@ val sort_merge :
 val tree_merge :
   ?outer_filter:(Tuple.t -> bool) -> outer:side -> inner:side -> unit -> Temp_list.t
 (** Merge join over {e pre-existing} ordered indexes on both join columns.
+    It walks the outer join-column index in key order, so it has no
+    [outer_rows] source: a selection can only filter that walk.
     @raise Invalid_argument when either index is missing. *)
 
 val run :
   ?pool:Mmdb_util.Domain_pool.t ->
   ?build_outer:bool ->
   ?outer_filter:(Tuple.t -> bool) ->
+  ?outer_path:Select.access_path * Select.predicate list ->
   ?est_rows:int ->
   method_ ->
   outer:side ->
   inner:side ->
   Temp_list.t
-(** Uniform driver over the five algorithms.  [pool] enables the parallel
-    variants of {!hash_join} and {!sort_merge}; the other methods ignore
+(** Uniform entry point over the five algorithms.  [outer_path] is the
+    selection on the outer side: the planned access path and the
+    predicates, led by the one that path serves.  With a hash or tree
+    lookup path the selection runs first, as a [select] span inside the
+    [join] span, and the kernel reads its temporary list as [outer_rows].
+    With a sequential scan path, and always for {!Tree_merge}, the
+    predicates join [outer_filter] on the relation scan.  [pool] enables
+    the parallel variants of {!hash_join} and {!sort_merge}; the other methods ignore
     it.  [build_outer] applies to {!hash_join} only.  [est_rows] is the optimizer's output-cardinality estimate,
     recorded as the [est_rows] trace attribute and fed with the actual
     row count to {!Feedback.observe} under {!feedback_key}.  Every method
@@ -121,6 +150,7 @@ val inequality_name : inequality -> string
 
 val tree_inequality_join :
   ?outer_filter:(Tuple.t -> bool) ->
+  ?outer_rows:Temp_list.t ->
   op:inequality ->
   outer:side ->
   inner:side ->
@@ -137,6 +167,7 @@ val tree_inequality_join :
 
 val precomputed :
   ?est_rows:int ->
+  ?outer_path:Select.access_path * Select.predicate list ->
   outer:Relation.t ->
   ref_col:int ->
   inner_schema:Schema.t ->
@@ -144,8 +175,9 @@ val precomputed :
   Temp_list.t
 (** Query 1 style: the outer's foreign-key column already holds tuple
     pointers, so the join just follows them ("the joining tuples have
-    already been paired").  [Null] pointers produce no pair.  [est_rows]
-    behaves as in {!run}.
+    already been paired").  [Null] pointers produce no pair.  Only the
+    outer tuples the [outer_path] selection keeps are followed;
+    [outer_path] and [est_rows] behave as in {!run}.
     @raise Invalid_argument if the column holds non-pointer values. *)
 
 val pointer_join :

@@ -230,17 +230,24 @@ type join_cand = Cand_method of Join.method_ | Cand_hash_build_outer
 
 (* Join-method candidates with estimated costs.  [eff_outer] is the
    outer cardinality after selection (the rule-based planner passes the
-   raw count, matching §4's use of relation sizes).  When hash join is
-   feasible and the filtered outer is the smaller side, building the
-   table on the outer is a distinct candidate — the §3.3.4 formula is
-   symmetric, so its cost is the same formula with the roles swapped. *)
+   raw count, matching §4's use of relation sizes): every method but Tree
+   Merge reads the selected outer rows.  Tree Merge walks the whole outer
+   join-column index in key order and filters it, so it is priced at the
+   full outer cardinality.  When hash join is feasible and the filtered
+   outer is the smaller side, building the table on the outer is a
+   distinct candidate — the §3.3.4 formula is symmetric, so its cost is
+   the same formula with the roles swapped. *)
 let join_candidates ~eff_outer ~outer ~inner =
   let i = Relation.cardinality inner.Join.rel in
   let feas = feasible_methods ~outer ~inner in
   let base =
     List.map
       (fun m ->
-        (Cand_method m, Join.method_name m, Cost.of_method m ~outer:eff_outer ~inner:i))
+        let o =
+          if m = Join.Tree_merge then Relation.cardinality outer.Join.rel
+          else eff_outer
+        in
+        (Cand_method m, Join.method_name m, Cost.of_method m ~outer:o ~inner:i))
       feas
   in
   if List.mem Join.Hash_join feas && eff_outer < i then

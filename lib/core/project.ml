@@ -67,12 +67,13 @@ let sort_scan ?pool ?(cutoff = 10) tl labels =
     let keyed =
       match parallel_pool pool n with
       | Some pool ->
-          let entries = Array.init n (Temp_list.get narrowed) in
           Domain_pool.parallel_map pool
             (fun e -> (entry_key narrowed e, e))
-            entries
+            (Temp_list.to_array narrowed)
       | None ->
-          Array.init n (fun i ->
+          (* the pairs are young: [Array.init] would force a minor
+             collection *)
+          Arrays.init n (fun i ->
               let e = Temp_list.get narrowed i in
               (entry_key narrowed e, e))
     in
@@ -128,13 +129,12 @@ let hashing ?pool tl labels =
   let out = Temp_list.create (Temp_list.descriptor narrowed) in
   match parallel_pool pool n with
   | Some pool ->
-      let entries = Array.init n (Temp_list.get narrowed) in
       let keyed =
         Domain_pool.parallel_map pool
           (fun e ->
             let k = entry_key narrowed e in
             (key_hash k, k, e))
-          entries
+          (Temp_list.to_array narrowed)
       in
       let p = Domain_pool.size pool in
       let parts = Array.make p [] in

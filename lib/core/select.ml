@@ -107,8 +107,10 @@ let scan_parallel pool rel ~keep out =
    unordered); MVCC-mode equivalence with the sequential path is by
    multiset. *)
 let scan_parallel_snapshot pool rel ~snapshot ~keep out =
+  (* recent inserts are young: [Array.of_list] would force a minor
+     collection *)
   let tuples =
-    Array.of_list (Atomic.get (Relation.view rel).Version_store.tuples)
+    Arrays.of_list (Atomic.get (Relation.view rel).Version_store.tuples)
   in
   let n = Array.length tuples in
   let desc = Temp_list.descriptor out in
@@ -168,7 +170,8 @@ let scan_batched rel ~predicates out =
     | rest -> (None, (fun _ -> true), rest)
   in
   let size = Batch.size () in
-  let keep = Array.make size (Tuple.probe [||]) in
+  (* a young filler forces a minor collection past 256 slots *)
+  let keep = Arrays.make size (Tuple.probe [||]) in
   (* Monomorphic kernels for the hot shapes: a lone int [Eq]/[Between]
      head runs an unboxed comparison loop over the contiguous key slice
      instead of a closure call + polymorphic compare per tuple. *)

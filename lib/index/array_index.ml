@@ -29,7 +29,8 @@ let ensure_capacity t =
   let cap = Array.length t.data in
   if t.count >= cap then begin
     let new_cap = max 16 (2 * cap) in
-    let grown = Array.make new_cap t.data.(0) in
+    (* the first element may be young: never force a minor collection *)
+    let grown = Arrays.make new_cap t.data.(0) in
     Array.blit t.data 0 grown 0 t.count;
     t.data <- grown
   end

@@ -349,6 +349,9 @@ let render t ~active ~readers ~domains =
          "batch:       enabled=%b size=%d batches=%d rows=%d \
           join_repartitions=%d join_role_reversals=%d"
          b.st_enabled b.st_size b.st_batches b.st_rows reparts reversals);
+      (let g = Gc.quick_stat () in
+       Printf.sprintf "gc:          minor_collections=%d major_collections=%d"
+         g.Gc.minor_collections g.Gc.major_collections);
     ]
   in
   let kinds =
@@ -505,6 +508,13 @@ let stats_json t ~active ~readers ~domains =
                ("rows", Json.Int b.st_rows);
                ("join_repartitions", Json.Int reparts);
                ("join_role_reversals", Json.Int reversals);
+             ] );
+         ( "gc",
+           let g = Gc.quick_stat () in
+           Json.Obj
+             [
+               ("minor_collections", Json.Int g.Gc.minor_collections);
+               ("major_collections", Json.Int g.Gc.major_collections);
              ] );
          ( "by_kind",
            Json.Obj
@@ -736,6 +746,13 @@ let prometheus t ~active ~readers ~domains =
    counter "mmdb_join_role_reversals_total"
      "Skew-triggered build/probe role reversals in the partitioned join"
      reversals);
+  (* process-wide OCaml collections: each minor one stops every domain *)
+  (let g = Gc.quick_stat () in
+   counter "mmdb_gc_minor_collections_total"
+     "OCaml minor collections (each stops every domain)"
+     g.Gc.minor_collections;
+   counter "mmdb_gc_major_collections_total" "OCaml major collection cycles"
+     g.Gc.major_collections);
   (* planner and index advisor *)
   gauge "mmdb_cost_based_enabled" "1 when the cost-based planner is active"
     (if Mmdb_core.Optimizer.cost_based () then 1.0 else 0.0);

@@ -581,6 +581,9 @@ let cleanup t (s : session) =
   Mutex.lock t.m;
   Hashtbl.remove t.sessions s.Session.sid;
   Mutex.unlock t.m;
+  (* Counted as it leaves the table, so [active_sessions] and the close
+     and reap counts agree at every instant. *)
+  Metrics.conn_closed ~reaped:(s.Session.kick = Session.Idle_kick) t.metrics;
   (* Roll back an open BEGIN block.  This job queues after anything the
      session ever submitted (including abandoned jobs), so once it
      resolves no executor job can touch this session again. *)
@@ -607,7 +610,6 @@ let cleanup t (s : session) =
       try_send t s Protocol.Bye
   | Session.Crash_kick -> () (* simulated kill-9: no farewell frames *)
   | Session.Not_kicked -> ());
-  Metrics.conn_closed ~reaped:(s.Session.kick = Session.Idle_kick) t.metrics;
   Session.close_fds s
 
 let session_loop t (s : session) =

@@ -74,16 +74,44 @@ type t = {
 let create ?size:(cap = size ()) () =
   let cap = max 1 cap in
   {
-    tuples = Array.make cap (Tuple.probe [||]);
+    (* a young filler forces a minor collection past 256 slots *)
+    tuples = Mmdb_util.Arrays.make cap (Tuple.probe [||]);
     keys = Array.make cap Value.Null;
     n = 0;
   }
 
-let capacity b = Array.length b.tuples
-let clear b = b.n <- 0
-let is_full b = b.n >= Array.length b.tuples
-
-let push b tuple key =
-  b.tuples.(b.n) <- tuple;
-  b.keys.(b.n) <- key;
-  b.n <- b.n + 1
+(* Batch production over any tuple iteration ([Relation.iter], a
+   temporary list's entries, a filtered scan): fill one reused batch in
+   [iter] order, extracting [key_col] at fill time through a snapshot
+   reader captured once, and hand each full batch (and the last partial
+   one) to [f]. *)
+let fill ?key_col ?size iter f =
+  let b = create ?size () in
+  let tuples = b.tuples and keys = b.keys in
+  let cap = Array.length tuples in
+  let flush () =
+    if b.n > 0 then begin
+      note_batch ~rows:b.n;
+      f b;
+      b.n <- 0
+    end
+  in
+  let push =
+    match key_col with
+    | None ->
+        fun tu ->
+          let n = b.n in
+          tuples.(n) <- tu;
+          b.n <- n + 1;
+          if n + 1 >= cap then flush ()
+    | Some c ->
+        let read = Tuple.scan_reader () in
+        fun tu ->
+          let n = b.n in
+          tuples.(n) <- tu;
+          keys.(n) <- read tu c;
+          b.n <- n + 1;
+          if n + 1 >= cap then flush ()
+  in
+  iter push;
+  flush ()

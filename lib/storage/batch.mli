@@ -1,7 +1,8 @@
 (** Fixed-size execution batches: vectors of tuple pointers plus an
-    extracted value slice for one hot column.  Produced by
-    {!Relation.iter_batches}; consumed by the vectorized operator kernels
-    in [Select] / [Join].  See DESIGN.md "Batched execution".
+    extracted value slice for one hot column.  Produced by {!fill} (and
+    {!Relation.iter_batches}, its relation-scan form); consumed by the
+    vectorized operator kernels in [Select] / [Join].  See DESIGN.md
+    "Batched execution".
 
     Key extraction into a batch is uncounted — the consuming kernel
     accounts the paper's §3.1 operations itself so that batched and
@@ -42,12 +43,14 @@ type t = {
   mutable n : int;
 }
 
-val create : ?size:int -> unit -> t
-(** A fresh batch; [size] defaults to the configured {!size}. *)
-
-val capacity : t -> int
-val clear : t -> unit
-val is_full : t -> bool
-
-val push : t -> Tuple.t -> Value.t -> unit
-(** Append one (tuple, hot-key) pair; the caller checks {!is_full}. *)
+val fill :
+  ?key_col:int ->
+  ?size:int ->
+  ((Tuple.t -> unit) -> unit) ->
+  (t -> unit) ->
+  unit
+(** [fill ?key_col ?size iter f] batches the tuples [iter] produces, in
+    order, with [key_col] extracted (uncounted, snapshot-resolved) into
+    the key slice, and hands each batch to [f].  The batch is reused
+    across calls — consume it before returning.  [size] defaults to
+    {!size}. *)

@@ -671,39 +671,7 @@ let to_seq ?index t =
    uncounted ({!Tuple.peek}): the consuming kernel accounts the §3.1
    logical dereferences itself, so batched and tuple-at-a-time counter
    totals match exactly.  The emission order is {!iter}'s. *)
-let iter_batches ?key_col ?size t f =
-  let size = match size with Some s -> max 1 s | None -> Batch.size () in
-  let b = Batch.create ~size () in
-  let tuples = b.Batch.tuples in
-  let keys = b.Batch.keys in
-  let cap = Array.length tuples in
-  (* snapshot state read once per scan, not once per tuple *)
-  let read = Tuple.scan_reader () in
-  let flush () =
-    if b.Batch.n > 0 then begin
-      Batch.note_batch ~rows:b.Batch.n;
-      f b;
-      Batch.clear b
-    end
-  in
-  let push =
-    match key_col with
-    | None ->
-        fun tu ->
-          let n = b.Batch.n in
-          tuples.(n) <- tu;
-          b.Batch.n <- n + 1;
-          if n + 1 >= cap then flush ()
-    | Some c ->
-        fun tu ->
-          let n = b.Batch.n in
-          tuples.(n) <- tu;
-          keys.(n) <- read tu c;
-          b.Batch.n <- n + 1;
-          if n + 1 >= cap then flush ()
-  in
-  iter t push;
-  flush ()
+let iter_batches ?key_col ?size t f = Batch.fill ?key_col ?size (iter t) f
 
 (* Direct partition access — recovery subsystem only. *)
 let iter_storage t f = List.iter (fun p -> Partition.iter p f) (partitions t)
@@ -776,8 +744,8 @@ let create_index ?(structure = T_tree) ?(unique = false) t ~idx_name ~columns
      P.I.iter P.handle (fun tuple ->
          tuples := tuple :: !tuples;
          incr n));
-    let arr = Array.make !n (Tuple.probe [||]) in
-    List.iteri (fun i tuple -> arr.(!n - 1 - i) <- tuple) !tuples;
+    (* [Array.make] from a young probe would force a minor collection *)
+    let arr = Mmdb_util.Arrays.of_rev_list !tuples in
     if structure_is_ordered structure && !n > 1 then
       Mmdb_util.Qsort.sort_with
         (Mmdb_util.Qsort.choose ~n:!n ~batched:false)

@@ -60,6 +60,9 @@ val concat : Descriptor.t -> t list -> t
 (** A fresh list holding the entries of each part in order. *)
 
 val get : t -> int -> entry
+val to_array : t -> entry array
+(** The entries as a fresh array, in list order. *)
+
 val iter : t -> (entry -> unit) -> unit
 val to_seq : t -> entry Seq.t
 

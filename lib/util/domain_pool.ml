@@ -151,13 +151,15 @@ let chunks ~n ~pieces =
 let parallel_map t f arr =
   let n = Array.length arr in
   if n = 0 then [||]
-  else if t.size <= 1 || n = 1 || in_worker () then Array.map f arr
+  (* results are young: build without forcing a minor collection *)
+  else if t.size <= 1 || n = 1 || in_worker () then
+    Arrays.init n (fun i -> f arr.(i))
   else begin
     let ranges = chunks ~n ~pieces:(4 * t.size) in
     let futures =
       Array.map
         (fun (lo, hi) ->
-          submit t (fun () -> Array.init (hi - lo) (fun k -> f arr.(lo + k))))
+          submit t (fun () -> Arrays.init (hi - lo) (fun k -> f arr.(lo + k))))
         ranges
     in
     let outcomes =

@@ -128,7 +128,9 @@ let sort_dpg ?(cutoff = 10) ?(run = default_run) ~cmp a =
     let runs = ref (List.rev !runs) in
     (* Phase 2: streaming pairwise merge rounds, ping-ponging between the
        array and a scratch buffer. *)
-    let scratch = Array.make n a.(0) in
+    (* a copy, not [Array.make n a.(0)]: a young initial value would
+       force a minor collection *)
+    let scratch = Array.copy a in
     let src = ref a and dst = ref scratch in
     while List.length !runs > 1 do
       let rec pair = function
@@ -200,7 +202,9 @@ let sort_parallel ?(cutoff = 10) ~pool ~cmp a =
     (* Phase 2: parallel pairwise merge rounds, ping-ponging between the
        input array and a scratch buffer; blit back if the final round
        lands in the scratch. *)
-    let scratch = Array.make n a.(0) in
+    (* a copy, not [Array.make n a.(0)]: a young initial value would
+       force a minor collection *)
+    let scratch = Array.copy a in
     let src = ref a and dst = ref scratch in
     let runs = ref (Array.to_list ranges) in
     while List.length !runs > 1 do

@@ -67,6 +67,7 @@ STATS_OUT="$("$CLIENT" --port "$PORT" --stats)"
 echo "$STATS_OUT" | grep -q '"worst_misestimates"'
 echo "$STATS_OUT" | grep -q '"last_60s"'
 echo "$STATS_OUT" | grep -q '"captured"'
+echo "$STATS_OUT" | grep -q '"minor_collections"'
 
 # two METRICS polls: both must parse as Prometheus text exposition, and
 # every counter must be monotonic between them
@@ -112,7 +113,9 @@ s1, t1 = parse(sys.argv[1])
 s2, t2 = parse(sys.argv[2])
 for required in ("mmdb_requests_total", "mmdb_uptime_seconds",
                  "mmdb_captured_statements_total",
-                 "mmdb_request_latency_seconds"):
+                 "mmdb_request_latency_seconds",
+                 "mmdb_gc_minor_collections_total",
+                 "mmdb_gc_major_collections_total"):
     assert required in t2, f"missing metric family {required}"
 for key, (base, v1) in s1.items():
     if t1.get(base) == "counter" and key in s2:

@@ -859,6 +859,217 @@ let test_query_forced_method () =
   Alcotest.(check int) "pointer-vs-int equijoin is empty" 0
     (Temp_list.length out)
 
+(* --- joins over a selected outer ------------------------------------------ *)
+
+(* EMP(Id, Age, Dept, DRef -> DEPT) and DEPT(Id, Region), with a T Tree
+   and a hash index on Age, a T Tree on EMP.Dept (so Tree Merge is
+   feasible) and DEPT's T Tree primary key. *)
+let selected_outer_fixture ~n =
+  let db = Db.create () in
+  let ok = function Ok x -> x | Error e -> Alcotest.fail e in
+  let dept =
+    ok
+      (Db.create_relation db
+         ~schema:
+           (Schema.make ~name:"DEPT"
+              [ Schema.col ~ty:Schema.T_int "Id"; Schema.col ~ty:Schema.T_int "Region" ])
+         ~primary_key:"Id")
+  in
+  for d = 0 to 39 do
+    ignore (ok (Db.insert db ~rel:"DEPT" [| Value.Int d; Value.Int (d mod 4) |]))
+  done;
+  let emp =
+    ok
+      (Db.create_relation db
+         ~schema:
+           (Schema.make ~name:"EMP"
+              [
+                Schema.col ~ty:Schema.T_int "Id";
+                Schema.col ~ty:Schema.T_int "Age";
+                Schema.col ~ty:Schema.T_int "Dept";
+                Schema.col ~ty:(Schema.T_ref "DEPT") "DRef";
+              ])
+         ~primary_key:"Id")
+  in
+  let rng = Rng.create ~seed:13 () in
+  for i = 0 to n - 1 do
+    (* departments 40..44 do not exist: those rows find no partner *)
+    let d = Rng.int rng 45 in
+    ignore
+      (ok
+         (Db.insert db ~rel:"EMP"
+            [|
+              Value.Int i;
+              Value.Int (20 + Rng.int rng 45);
+              Value.Int d;
+              (if d < 40 then Value.Int d else Value.Null);
+            |]))
+  done;
+  ok (Relation.create_index emp ~idx_name:"emp_age" ~columns:[| 1 |]);
+  ok
+    (Relation.create_index ~structure:Relation.Chained_hash emp
+       ~idx_name:"emp_age_h" ~columns:[| 1 |]);
+  ok (Relation.create_index emp ~idx_name:"emp_dept" ~columns:[| 2 |]);
+  (emp, dept)
+
+let id_pairs tl =
+  let acc = ref [] in
+  Temp_list.iter tl (fun e -> acc := (Tuple.id e.(0), Tuple.id e.(1)) :: !acc);
+  List.sort compare !acc
+
+(* Every method, and the precomputed join, returns the same multiset when
+   its outer comes through a tree or hash selection as when it scans the
+   relation with the predicates as a filter — batched or not, with or
+   without a snapshot (taken before a writer moves rows in and out of the
+   selection and between departments), sequential or with a two-domain
+   pool (the whole-range selection is large enough to partition). *)
+let test_join_selected_outer () =
+  let odd_id t = match Tuple.get t 0 with Value.Int i -> i mod 2 = 1 | _ -> false in
+  let selections =
+    [
+      ( Select.Tree_lookup "emp_age",
+        [ Select.Between (1, Value.Int 30, Value.Int 39); Select.Filter odd_id ] );
+      (Select.Hash_lookup "emp_age_h", [ Select.Eq (1, Value.Int 33) ]);
+      (Select.Tree_lookup "emp_age", [ Select.Eq (1, Value.Int 50) ]);
+      (Select.Tree_lookup "emp_age", [ Select.Between (1, Value.Int 0, Value.Int 99) ]);
+    ]
+  in
+  (* (label, run via the selection, run via the filtered scan) *)
+  let runs ?pool emp dept =
+    let outer = { Join.rel = emp; col = 2 } and inner = { Join.rel = dept; col = 0 } in
+    List.concat_map
+      (fun (path, preds) ->
+        let outer_filter t = List.for_all (Select.matches t) preds in
+        let label = Fmt.str "%a" Select.pp_path path in
+        let joins =
+          List.concat_map
+            (fun m ->
+              let build_outers = if m = Join.Hash_join then [ false; true ] else [ false ] in
+              List.map
+                (fun build_outer ->
+                  ( Printf.sprintf "%s (build outer %b) via %s" (Join.method_name m)
+                      build_outer label,
+                    (fun () ->
+                      Join.run ?pool ~build_outer ~outer_path:(path, preds) m ~outer
+                        ~inner),
+                    fun () -> Join.run ?pool ~build_outer ~outer_filter m ~outer ~inner ))
+                build_outers)
+            Join.all_methods
+        in
+        let inner_schema = Relation.schema dept in
+        ( "Precomputed via " ^ label,
+          (fun () ->
+            Join.precomputed ~outer_path:(path, preds) ~outer:emp ~ref_col:3
+              ~inner_schema ()),
+          fun () ->
+            let all = Join.precomputed ~outer:emp ~ref_col:3 ~inner_schema () in
+            let out = Temp_list.create (Temp_list.descriptor all) in
+            Temp_list.iter all (fun e -> if outer_filter e.(0) then Temp_list.append out e);
+            out )
+        :: joins)
+      selections
+  in
+  let pool = Domain_pool.create ~size:2 () in
+  Fun.protect ~finally:(fun () -> Domain_pool.stop pool) @@ fun () ->
+  let check_all ~mode emp dept ~expected =
+    List.iter
+      (fun pool ->
+        let mode = if pool = None then mode else mode ^ ", pool" in
+        List.iter2
+          (fun (label, via_path, via_scan) want ->
+            let got_path = id_pairs (via_path ()) and got_scan = id_pairs (via_scan ()) in
+            Alcotest.(check bool) (mode ^ ": " ^ label ^ " non-empty") true (got_scan <> []);
+            Alcotest.(check bool) (mode ^ ": " ^ label ^ " = filtered scan") true
+              (got_path = got_scan);
+            Alcotest.(check bool) (mode ^ ": " ^ label ^ " = reference") true
+              (got_path = want))
+          (runs ?pool emp dept) expected)
+      [ None; Some pool ]
+  in
+  let with_batch enabled f =
+    let was = Batch.enabled () in
+    Batch.set_enabled enabled;
+    Fun.protect ~finally:(fun () -> Batch.set_enabled was) f
+  in
+  List.iter
+    (fun batched ->
+      let mode = if batched then "batched" else "tuple-at-a-time" in
+      with_batch batched @@ fun () ->
+      (* snapshot off *)
+      let emp, dept = selected_outer_fixture ~n:2_400 in
+      let reference =
+        List.map (fun (_, _, via_scan) -> id_pairs (via_scan ())) (runs emp dept)
+      in
+      check_all ~mode emp dept ~expected:reference;
+      (* snapshot on: a writer on another domain changes ages and
+         departments after the snapshot; the joins still see the
+         snapshot's rows *)
+      let was = Version_store.enabled () in
+      Version_store.set_enabled true;
+      Fun.protect ~finally:(fun () -> Version_store.set_enabled was) @@ fun () ->
+      let emp, dept = selected_outer_fixture ~n:2_400 in
+      let reference =
+        List.map (fun (_, _, via_scan) -> id_pairs (via_scan ())) (runs emp dept)
+      in
+      Version_store.with_snapshot (fun _ ->
+          Domain.join
+            (Domain.spawn (fun () ->
+                 Version_store.with_write (fun () ->
+                     let i = ref 0 in
+                     Relation.iter emp (fun t ->
+                         if !i mod 7 = 0 then begin
+                           ignore (Relation.update_field emp t 1 (Value.Int 33));
+                           ignore (Relation.update_field emp t 2 (Value.Int 1))
+                         end;
+                         incr i))));
+          check_all ~mode:(mode ^ ", snapshot") emp dept ~expected:reference))
+    [ false; true ]
+
+(* --- no forced minor collections ------------------------------------------ *)
+
+(* OCaml 5 forces a minor collection when it creates an array of more
+   than 256 words from a young value.  Each case below allocates far less
+   than the minor heap, so after a [Gc.minor ()] any collection it
+   triggers is a forced one.  The full major first ends the running major
+   cycle, whose completion would otherwise empty the minor heap too. *)
+let check_no_minor_gc label f =
+  Gc.full_major ();
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  ignore (Sys.opaque_identity (f ()));
+  Alcotest.(check int) (label ^ ": no minor collection") before
+    (Gc.quick_stat ()).Gc.minor_collections
+
+let test_no_forced_minor_gc () =
+  let emp, dept = selected_outer_fixture ~n:1_300 in
+  check_no_minor_gc "tree range select" (fun () ->
+      let tl =
+        Select.run emp ~path:(Select.Tree_lookup "emp_age")
+          ~predicates:[ Select.Between (1, Value.Int 20, Value.Int 64) ]
+      in
+      Alcotest.(check bool) ">= 1000 rows" true (Temp_list.length tl >= 1000);
+      tl);
+  let all = Temp_list.of_relation emp in
+  let dept_label = List.nth (Descriptor.labels (Temp_list.descriptor all)) 2 in
+  List.iter
+    (fun m ->
+      check_no_minor_gc ("DISTINCT via " ^ Project.method_name m) (fun () ->
+          Project.run m all [ dept_label ]))
+    [ Project.Hashing; Project.Sort_scan ];
+  let outer = { Join.rel = emp; col = 2 } and inner = { Join.rel = dept; col = 0 } in
+  List.iter
+    (fun batched ->
+      let was = Batch.enabled () in
+      Batch.set_enabled batched;
+      Fun.protect ~finally:(fun () -> Batch.set_enabled was) @@ fun () ->
+      check_no_minor_gc
+        (Printf.sprintf "sort merge (batched %b)" batched)
+        (fun () ->
+          let tl = Join.sort_merge ~outer ~inner () in
+          Alcotest.(check bool) ">= 1000 rows" true (Temp_list.length tl >= 1000);
+          tl))
+    [ false; true ]
+
 let () =
   Alcotest.run "mmdb_core"
     [
@@ -890,6 +1101,10 @@ let () =
             test_tree_join_requires_index;
           Alcotest.test_case "outer filter pushdown" `Quick
             test_join_outer_filter;
+          Alcotest.test_case "selected outer = filtered scan" `Quick
+            test_join_selected_outer;
+          Alcotest.test_case "no forced minor collections" `Quick
+            test_no_forced_minor_gc;
           Alcotest.test_case "inequality joins (§3.3.5)" `Quick
             test_inequality_join;
           QCheck_alcotest.to_alcotest inequality_join_property;

@@ -509,6 +509,88 @@ let test_advisor_survives_lost_index () =
   Alcotest.(check int) "query still answers" 10
     (Temp_list.length (Executor.query db q))
 
+(* EXPLAIN ANALYZE of a join whose outer is selected through an index
+   names the path that ran: the selection shows as a [select] span inside
+   the [join] span, with the planned tree lookup as its path — under
+   both planners and with or without a snapshot. *)
+let test_analyze_names_outer_path () =
+  let db = Db.create () in
+  let sess = Mmdb_lang.Interp.session db in
+  let exec sql =
+    match Mmdb_lang.Interp.exec_string sess sql with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  ignore
+    (exec
+       "CREATE TABLE DEPT (ID int PRIMARY KEY, REGION int); CREATE TABLE EMP \
+        (ID int PRIMARY KEY, DEPT int, AGE int, SALARY int);");
+  for i = 0 to 49 do
+    ignore (exec (Printf.sprintf "INSERT INTO DEPT VALUES (%d, %d);" i (i mod 5)))
+  done;
+  for i = 0 to 1_999 do
+    ignore
+      (exec
+         (Printf.sprintf "INSERT INTO EMP VALUES (%d, %d, %d, %d);" i (i mod 50)
+            (20 + (i * 7 mod 45)) (1000 + i)))
+  done;
+  ignore (exec "CREATE INDEX emp_age ON EMP (AGE) USING ttree;");
+  let report =
+    "SELECT DEPT.REGION, COUNT(*) FROM EMP JOIN DEPT ON EMP.DEPT = DEPT.ID \
+     WHERE EMP.AGE BETWEEN 30 AND 34 GROUP BY DEPT.REGION;"
+  in
+  let operators () =
+    match exec ("EXPLAIN ANALYZE " ^ report) with
+    | [ Mmdb_lang.Interp.Table t ] ->
+        List.map
+          (fun row ->
+            let name = match row.(0) with Value.Str s -> s | v -> Value.to_string v in
+            let detail = match row.(9) with Value.Str s -> s | v -> Value.to_string v in
+            let depth = String.length name - String.length (String.trim name) in
+            (String.trim name, depth, detail))
+          t.Aggregate.rows
+    | _ -> Alcotest.fail "EXPLAIN ANALYZE gave no table"
+  in
+  let contains needle hay =
+    let n = String.length needle and m = String.length hay in
+    let rec go i = i + n <= m && (String.sub hay i n = needle || go (i + 1)) in
+    go 0
+  in
+  let check label =
+    let ops = operators () in
+    let rec after_join = function
+      | ("join", d, _) :: rest -> Some (d, rest)
+      | _ :: rest -> after_join rest
+      | [] -> None
+    in
+    match after_join ops with
+    | None -> Alcotest.failf "%s: no join span" label
+    | Some (d, rest) -> (
+        (* the join's children come next, one level deeper *)
+        let children =
+          let rec take = function
+            | (n, d', det) :: r when d' > d -> (n, d', det) :: take r
+            | _ -> []
+          in
+          take rest
+        in
+        match List.find_opt (fun (n, d', _) -> n = "select" && d' = d + 2) children with
+        | None -> Alcotest.failf "%s: no select span under the join" label
+        | Some (_, _, detail) ->
+            Alcotest.(check bool)
+              (label ^ ": select names the tree lookup (" ^ detail ^ ")")
+              true
+              (contains "path=tree lookup via emp_age" detail))
+  in
+  List.iter
+    (fun cost ->
+      with_planner cost (fun () ->
+          let planner = if cost then "cost" else "rule" in
+          check planner;
+          with_mvcc (fun () ->
+              Version_store.with_snapshot (fun _ -> check (planner ^ ", snapshot")))))
+    [ true; false ]
+
 let () =
   Alcotest.run "mmdb_planner"
     [
@@ -534,6 +616,8 @@ let () =
             test_explain_names_planner_and_candidates;
           Alcotest.test_case "picks index and build side by cost" `Quick
             test_cost_picks_index_and_build_side;
+          Alcotest.test_case "EXPLAIN ANALYZE names the outer path" `Quick
+            test_analyze_names_outer_path;
         ] );
       ( "advisor",
         [

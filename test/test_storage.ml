@@ -521,6 +521,42 @@ let test_temp_list_to_seq_and_get () =
     (Invalid_argument "Temp_list.get: out of bounds") (fun () ->
       ignore (Temp_list.get tl 9))
 
+(* OCaml 5 forces a minor collection when it creates an array of more
+   than 256 words from a young value; a growing temporary list must not
+   pay one per doubling.  Each fill allocates far less than the minor
+   heap, so after a [Gc.minor ()] any collection is a forced one (the
+   full major first ends the running major cycle, whose completion would
+   also empty the minor heap). *)
+let test_temp_list_no_forced_minor_gc () =
+  let desc = Descriptor.of_schema (dept_schema ()) in
+  let tuple i = Tuple.make [| Value.Str "d"; Value.Int i |] in
+  let grown label fill =
+    Gc.full_major ();
+    Gc.minor ();
+    let before = (Gc.quick_stat ()).Gc.minor_collections in
+    let tl = Temp_list.create desc in
+    fill tl;
+    Alcotest.(check int) (label ^ ": 4096 entries") 4096 (Temp_list.length tl);
+    Alcotest.(check int) (label ^ ": no minor collection") before
+      (Gc.quick_stat ()).Gc.minor_collections
+  in
+  grown "append" (fun tl ->
+      for i = 0 to 4095 do
+        Temp_list.append tl [| tuple i |]
+      done);
+  grown "append_n" (fun tl ->
+      for b = 0 to 15 do
+        Temp_list.append_n tl (Array.init 256 (fun i -> tuple ((256 * b) + i))) 256
+      done);
+  grown "append_all" (fun tl ->
+      for b = 0 to 7 do
+        let part = Temp_list.create desc in
+        for i = 0 to 511 do
+          Temp_list.append part [| tuple ((512 * b) + i) |]
+        done;
+        Temp_list.append_all tl part
+      done)
+
 let test_forwarding_stress () =
   (* many heap-overflow moves: tuples stay reachable through every index
      and the old pointers keep working *)
@@ -697,6 +733,8 @@ let () =
             test_temp_list_index;
           Alcotest.test_case "temp list seq/get" `Quick
             test_temp_list_to_seq_and_get;
+          Alcotest.test_case "temp list growth forces no minor GC" `Quick
+            test_temp_list_no_forced_minor_gc;
         ] );
       ( "misc",
         [
